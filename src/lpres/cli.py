@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .conjectures import minimum_class, predicted_dwyer
 from .multiplier import DwyerStep, dwyer_range
@@ -155,20 +154,9 @@ def _step_record(step: DwyerStep) -> dict:
     }
 
 
-def _dwyer_worker(source: str, nclass: int) -> dict:
-    pres = parse_one(source)
-    return _step_record(dwyer_range(pres, nclass)[-1])
-
-
 def _cmd_dwyer(args) -> int:
     name, pres = _load(args)
-    if args.jobs > 1:
-        source = serialize(pres)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_dwyer_worker, source, c) for c in range(1, args.max_class + 1)]
-            results = [f.result() for f in futures]
-    else:
-        results = [_step_record(s) for s in dwyer_range(pres, args.max_class)]
+    results = [_step_record(s) for s in dwyer_range(pres, args.max_class)]
     if args.json:
         print(json.dumps({"group": name, "results": results}, indent=2))
         return 0
@@ -300,13 +288,6 @@ def _build_parser() -> _Parser:
     p_dw.add_argument("--max-class", type=_positive_int, required=True, metavar="C")
     p_dw.add_argument("--json", action="store_true", help="machine-readable output")
     p_dw.add_argument("--timing", action="store_true", help="append per-class timings")
-    p_dw.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="compute classes in N worker processes (each rebuilds its own tower)",
-    )
     p_dw.set_defaults(func=_cmd_dwyer)
 
     p_adj = sub.add_parser("adjust", help="rewrite over a relator-lattice basis")

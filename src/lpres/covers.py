@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 from .lattices import (
     AbelianInvariants,
     HNFBasis,
+    _SparseEchelon,
     left_kernel,
     smith_invariants,
     spin_closure,
     subgroup_invariants,
-    xgcd,
 )
 from .pcgroups import PcPresentation
 from .presentations import LPresentation
@@ -63,90 +63,6 @@ class QuotientSystem:
 def trivial_system(pres: LPresentation) -> QuotientSystem:
     pc = PcPresentation(nfree=len(pres.alphabet))
     return QuotientSystem(pres, pc, [{} for _ in range(len(pres.alphabet))])
-
-
-# --------------------------------------------------------------------------
-# sparse integer echelon, used to absorb the many consistency rows
-
-
-class _SparseEchelon:
-    """Row echelon over Z on sparse rows {column: entry}."""
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
-        out = {}
-        for k in a.keys() | b.keys():
-            v = ca * a.get(k, 0) + cb * b.get(k, 0)
-            if v:
-                out[k] = v
-        return out
-
-    def _canonicalize(self, r: dict[int, int], exclude: int = -1) -> dict[int, int]:
-        """Reduce the entries of r at pivot columns into [0, pivot).
-
-        Keeps every working row's entries bounded by the pivot values,
-        which stops the coefficient growth that unreduced integer
-        elimination suffers from.
-        """
-        while True:
-            col = None
-            for k, v in r.items():
-                if k == exclude:
-                    continue
-                cur = self.rows.get(k)
-                if cur is not None and not 0 <= v < cur[k] and (col is None or k < col):
-                    col = k
-            if col is None:
-                return r
-            cur = self.rows[col]
-            r = self._combine(r, 1, cur, -(r[col] // cur[col]))
-
-    def insert(self, row: dict[int, int]):
-        pending = [{k: v for k, v in row.items() if v}]
-        while pending:
-            r = self._canonicalize(pending.pop())
-            while r:
-                lead = min(r)
-                cur = self.rows.get(lead)
-                if cur is None:
-                    if r[lead] < 0:
-                        r = {k: -v for k, v in r.items()}
-                    self.rows[lead] = self._canonicalize(r, exclude=lead)
-                    break
-                d, a = cur[lead], r[lead]
-                q, rem = divmod(a, d)
-                if rem == 0:
-                    r = self._canonicalize(self._combine(r, 1, cur, -q))
-                else:
-                    g, x, y = xgcd(d, a)
-                    new = self._combine(cur, x, r, y)
-                    displaced = self._combine(cur, 1, new, -(d // g))
-                    r = self._canonicalize(self._combine(r, 1, new, -(a // g)))
-                    self.rows[lead] = self._canonicalize(new, exclude=lead)
-                    if displaced:
-                        pending.append(self._canonicalize(displaced))
-
-    def canonical(self, ncols: int) -> HNFBasis:
-        pivots = sorted(self.rows)
-        for p in pivots:
-            d = self.rows[p][p]
-            for p2 in pivots:
-                if p2 >= p:
-                    break
-                e = self.rows[p2].get(p, 0)
-                q = e // d
-                if q:
-                    self.rows[p2] = self._combine(self.rows[p2], 1, self.rows[p], -q)
-        dense = []
-        for p in pivots:
-            row = [0] * ncols
-            for k, v in self.rows[p].items():
-                row[k] = v
-            dense.append(tuple(row))
-        return HNFBasis(tuple(dense), tuple(pivots), ncols)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact integer lattice arithmetic.
 
-Everything here works on dense integer row vectors (lists of ints) with
-arbitrary-precision arithmetic.  The central objects are row-style
-Hermite normal forms, used as canonical bases of subgroups of Z^n, and
-Smith invariants, used to name finitely generated abelian groups.
+Everything here takes dense integer row vectors (lists of ints) with
+arbitrary-precision arithmetic; the one echelon behind them works on
+sparse rows.  The central objects are row-style Hermite normal forms,
+used as canonical bases of subgroups of Z^n, and Smith invariants, used
+to name finitely generated abelian groups.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -66,80 +67,90 @@ class HNFBasis:
         return iter(self.rows)
 
 
-def _hnf_worker(rows: list[list[int]], ncols: int, transform: bool):
-    """Row-reduce to canonical HNF; optionally carry a unimodular transform.
+class _SparseEchelon:
+    """Row echelon over Z on sparse rows {column: entry}.
 
-    Returns (reduced rows, pivot columns, full transform rows or None).
-    With transform=True, the returned matrix U satisfies: U * input has
-    the HNF rows on top and zero rows below.
+    Rows are inserted one at a time, each pivot being the leftmost
+    column of its row; canonical() finishes the reduction into the
+    canonical HNF.  This is the one echelon behind hnf and left_kernel,
+    and build_cover feeds it the consistency rows of a cover directly.
     """
-    m = len(rows)
-    work = [list(r) for r in rows]
-    uni = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
-    rank = 0
-    for col in range(ncols):
-        # find a row at or below `rank` with a nonzero entry in this column
-        pivot_row = None
-        for i in range(rank, m):
-            if work[i][col]:
-                if pivot_row is None or abs(work[i][col]) < abs(work[pivot_row][col]):
-                    pivot_row = i
-        if pivot_row is None:
-            continue
-        # gcd elimination within the column
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, int]] = {}
+
+    @staticmethod
+    def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
+        out = {}
+        for k in a.keys() | b.keys():
+            v = ca * a.get(k, 0) + cb * b.get(k, 0)
+            if v:
+                out[k] = v
+        return out
+
+    def _canonicalize(self, r: dict[int, int], exclude: int = -1) -> dict[int, int]:
+        """Reduce the entries of r at pivot columns into [0, pivot).
+
+        Keeps every working row's entries bounded by the pivot values,
+        which stops the coefficient growth that unreduced integer
+        elimination suffers from.
+        """
         while True:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            if uni is not None:
-                uni[rank], uni[pivot_row] = uni[pivot_row], uni[rank]
-            dirty = False
-            p = work[rank][col]
-            for i in range(rank + 1, m):
-                if work[i][col]:
-                    q = work[i][col] // p
-                    if q:
-                        wi, wr = work[i], work[rank]
-                        for j in range(col, ncols):
-                            wi[j] -= q * wr[j]
-                        if uni is not None:
-                            ui, ur = uni[i], uni[rank]
-                            for j in range(m):
-                                ui[j] -= q * ur[j]
-                    if work[i][col]:
-                        dirty = True
-            if not dirty:
-                break
-            pivot_row = None
-            for i in range(rank, m):
-                if work[i][col]:
-                    if pivot_row is None or abs(work[i][col]) < abs(work[pivot_row][col]):
-                        pivot_row = i
-        if work[rank][col] < 0:
-            work[rank] = [-x for x in work[rank]]
-            if uni is not None:
-                uni[rank] = [-x for x in uni[rank]]
-        # reduce the entries above the pivot into [0, pivot)
-        p = work[rank][col]
-        for i in range(rank):
-            q = work[i][col] // p
-            if q:
-                wi, wr = work[i], work[rank]
-                for j in range(col, ncols):
-                    wi[j] -= q * wr[j]
-                if uni is not None:
-                    ui, ur = uni[i], uni[rank]
-                    for j in range(m):
-                        ui[j] -= q * ur[j]
-        rank += 1
-        if rank == m:
-            break
-    reduced = work[:rank]
-    pivots = []
-    for row in reduced:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    return reduced, pivots, uni
+            col = None
+            for k, v in r.items():
+                if k == exclude:
+                    continue
+                cur = self.rows.get(k)
+                if cur is not None and not 0 <= v < cur[k] and (col is None or k < col):
+                    col = k
+            if col is None:
+                return r
+            cur = self.rows[col]
+            r = self._combine(r, 1, cur, -(r[col] // cur[col]))
+
+    def insert(self, row: dict[int, int]):
+        pending = [{k: v for k, v in row.items() if v}]
+        while pending:
+            r = self._canonicalize(pending.pop())
+            while r:
+                lead = min(r)
+                cur = self.rows.get(lead)
+                if cur is None:
+                    if r[lead] < 0:
+                        r = {k: -v for k, v in r.items()}
+                    self.rows[lead] = self._canonicalize(r, exclude=lead)
+                    break
+                d, a = cur[lead], r[lead]
+                q, rem = divmod(a, d)
+                if rem == 0:
+                    r = self._canonicalize(self._combine(r, 1, cur, -q))
+                else:
+                    g, x, y = xgcd(d, a)
+                    new = self._combine(cur, x, r, y)
+                    displaced = self._combine(cur, 1, new, -(d // g))
+                    r = self._canonicalize(self._combine(r, 1, new, -(a // g)))
+                    self.rows[lead] = self._canonicalize(new, exclude=lead)
+                    if displaced:
+                        pending.append(self._canonicalize(displaced))
+
+    def canonical(self, ncols: int) -> HNFBasis:
+        pivots = sorted(self.rows)
+        for p in pivots:
+            d = self.rows[p][p]
+            for p2 in pivots:
+                if p2 >= p:
+                    break
+                e = self.rows[p2].get(p, 0)
+                q = e // d
+                if q:
+                    self.rows[p2] = self._combine(self.rows[p2], 1, self.rows[p], -q)
+        dense = []
+        for p in pivots:
+            row = [0] * ncols
+            for k, v in self.rows[p].items():
+                row[k] = v
+            dense.append(tuple(row))
+        return HNFBasis(tuple(dense), tuple(pivots), ncols)
 
 
 def hnf(rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> HNFBasis:
@@ -152,8 +163,10 @@ def hnf(rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> HNFBasis:
     for r in rows:
         if len(r) != ncols:
             raise ValueError("rows of unequal length")
-    reduced, pivots, _ = _hnf_worker(rows, ncols, transform=False)
-    return HNFBasis(tuple(tuple(r) for r in reduced), tuple(pivots), ncols)
+    echelon = _SparseEchelon()
+    for r in rows:
+        echelon.insert(dict(enumerate(r)))
+    return echelon.canonical(ncols)
 
 
 def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
@@ -178,28 +191,6 @@ def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Outcome of pushing one vector into a lattice.
-
-    dependent     -- the vector was already in the lattice
-    rank_grew     -- the rank went up (otherwise only the index dropped)
-    coefficients  -- expression of a dependent vector over the old basis
-    """
-
-    dependent: bool
-    rank_grew: bool
-    coefficients: Optional[tuple[int, ...]]
-
-
-def extend_basis(basis: HNFBasis, vector: Sequence[int]) -> tuple[HNFBasis, ExtensionReport]:
-    coeffs = membership(basis, vector)
-    if coeffs is not None:
-        return basis, ExtensionReport(True, False, tuple(coeffs))
-    grown = hnf(list(basis.rows) + [list(vector)], basis.ncols)
-    return grown, ExtensionReport(False, grown.rank > basis.rank, None)
-
-
 def left_kernel(matrix: Sequence[Sequence[int]], nrows: Optional[int] = None) -> list[list[int]]:
     """Basis of {x in Z^nrows : x * matrix = 0}, as canonical HNF rows."""
     rows = [list(r) for r in matrix]
@@ -208,13 +199,16 @@ def left_kernel(matrix: Sequence[Sequence[int]], nrows: Optional[int] = None) ->
     if not rows:
         return [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     ncols = len(rows[0])
-    _, pivots, uni = _hnf_worker(rows, ncols, transform=True)
-    rank = len(pivots)
-    kernel = uni[rank:]
-    if not kernel:
-        return []
-    reduced, _, _ = _hnf_worker(kernel, nrows, transform=False)
-    return [list(r) for r in reduced]
+    # The lattice of [M | I] is {(xM, x)}; the rows of its HNF that are
+    # zero on the M block span its meet with {(0, x)}, the kernel, and
+    # their entries past column ncols already form a canonical HNF.
+    echelon = _SparseEchelon()
+    for i, r in enumerate(rows):
+        row = dict(enumerate(r))
+        row[ncols + i] = 1
+        echelon.insert(row)
+    basis = echelon.canonical(ncols + len(rows))
+    return [list(r[ncols:]) for r, p in zip(basis.rows, basis.pivots) if p >= ncols]
 
 
 @dataclass(frozen=True)

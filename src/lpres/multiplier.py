@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
-from .covers import build_cover, impose_relators, trivial_system
-from .lattices import AbelianInvariants, spin_closure, subgroup_invariants
-from .presentations import AdjustedLPresentation, LPresentation, adjust
+from .lattices import AbelianInvariants, subgroup_invariants
+from .presentations import LPresentation, adjust
+from .quotients import tower
 
 
 @dataclass(frozen=True)
@@ -41,45 +40,31 @@ class DwyerStep:
     dwyer_seconds: float
 
 
-def dwyer_range(
-    pres: LPresentation,
-    max_class: int,
-    adjusted: Optional[AdjustedLPresentation] = None,
-) -> list[DwyerStep]:
+def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
     """Multiplier images for every class from 1 to max_class.
 
-    One cover is built per class and shared between the multiplier
-    computation and the next tower step.  Passing a precomputed
-    adjustment avoids repeating it across calls.
+    Class c reads its image off the cover of the class-c quotient, the
+    same cover the tower imposes the class-(c+1) quotient on.
     """
     if max_class < 1:
         raise ValueError("max_class must be at least 1")
-    if adjusted is None:
-        adjusted = adjust(pres)
-    fixed_cons = adjusted.fixed_consequences
-    iterated_cons = adjusted.iterated_consequences
+    adjusted = adjust(pres)
+    levels = tower(pres)
 
     steps: list[DwyerStep] = []
     t0 = time.perf_counter()
-    system = impose_relators(build_cover(trivial_system(pres)))
+    next(levels)
     carried = time.perf_counter() - t0
     for c in range(1, max_class + 1):
         t1 = time.perf_counter()
-        cover = build_cover(system)
+        cover, system = next(levels)
         t2 = time.perf_counter()
-        m = cover.central_dim
-        torsion = cover.torsion_rows()
-        lattice = spin_closure(
-            cover.relator_rows(iterated_cons),
-            cover.endomorphism_matrices(),
-            base_rows=torsion + cover.relator_rows(fixed_cons),
-            ncols=m,
+        lattice = cover.spun_relator_lattice(
+            adjusted.fixed_consequences, adjusted.iterated_consequences
         )
-        image = subgroup_invariants(lattice.rows, torsion, m)
+        image = subgroup_invariants(lattice.rows, cover.torsion_rows(), cover.central_dim)
         section = cover.multiplier_invariants()
         t3 = time.perf_counter()
-        system = impose_relators(cover)
-        t4 = time.perf_counter()
         if system.nclass == c + 1:
             layer = system.lcs_factors()[c]
         else:
@@ -90,7 +75,7 @@ def dwyer_range(
                 invariants=image,
                 multiplier=section,
                 next_layer=layer,
-                quotient_seconds=carried + (t2 - t1) + (t4 - t3),
+                quotient_seconds=carried + (t2 - t1),
                 dwyer_seconds=t3 - t2,
             )
         )

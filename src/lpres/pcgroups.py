@@ -117,9 +117,6 @@ class PcPresentation:
     def _central_bound(self) -> int:
         return self.ngens if self.central_start is None else self.central_start
 
-    def is_central(self, g: int) -> bool:
-        return g >= self._central_bound()
-
     def _conj_central_only(self, i: int, j: int) -> bool:
         tail = self.conj.get((i, j))
         return tail is None or min(tail) >= self._central_bound()
@@ -406,11 +403,3 @@ class PcPresentation:
                 return None
             total *= o
         return total
-
-    def format_nf(self, nf: dict[int, int]) -> str:
-        if not nf:
-            return "1"
-        return "*".join(
-            "g%d" % (g + 1) if nf[g] == 1 else "g%d^%d" % (g + 1, nf[g])
-            for g in sorted(nf)
-        )

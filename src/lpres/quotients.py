@@ -11,9 +11,10 @@ lower central series can be read off the presentation directly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator
 
 from .covers import (
+    Cover,
     QuotientSystem,
     build_cover,
     impose_relators,
@@ -42,17 +43,35 @@ def abelian_quotient(pres: LPresentation) -> AbelianInvariants:
     return smith_invariants(lattice.rows, n)
 
 
+def tower(pres: LPresentation) -> Iterator[tuple[Cover, QuotientSystem]]:
+    """Yield (cover, system) for c = 1, 2, ...: the cover of the
+    class-(c-1) quotient, and the class-c quotient imposed on it.
+
+    The one class loop: quotient_tower, nilpotent_quotient and
+    dwyer_range all consume it.  It never stops on its own; once the
+    lower central series has stabilized, system.nclass stays below c.
+
+    The original relators are imposed, not the adjusted consequences
+    that dwyer_range spins.  On the catalog groups both give the same
+    lattices, but when an ``invariant: true`` claim is false they need
+    not: for a^2 with the swap a <-> b the adjusted relators are a^2
+    and b^2, giving (Z_2)^2 at class 1 instead of Z x Z_2, and no later
+    cover then detects the ill-defined image.
+    """
+    system = trivial_system(pres)
+    while True:
+        cover = build_cover(system)
+        system = impose_relators(cover)
+        yield cover, system
+
+
 def nilpotent_quotient(pres: LPresentation, nclass: int) -> QuotientSystem:
     """The quotient by the (nclass+1)-st term of the lower central series."""
     if nclass < 0:
         raise ValueError("class must be non-negative")
     system = trivial_system(pres)
-    for c in range(1, nclass + 1):
-        system = impose_relators(build_cover(system))
-        if system.nclass < c:
-            # the lower central series has stabilized; repeating the
-            # extension step cannot produce new layers
-            break
+    for _, system in quotient_tower(pres, nclass):
+        pass
     return system
 
 
@@ -62,11 +81,9 @@ def quotient_tower(pres: LPresentation, max_class: int):
     Stops early when the lower central series stabilizes.  The systems
     share nothing mutable, so callers may keep or modify them freely.
     """
-    system = trivial_system(pres)
-    for c in range(1, max_class + 1):
-        system = impose_relators(build_cover(system))
+    for c, (_, system) in zip(range(1, max_class + 1), tower(pres)):
         if system.nclass < c:
-            break
+            return
         yield c, system
 
 

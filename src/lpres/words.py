@@ -147,15 +147,6 @@ def commutator(u: Word, v: Word) -> Word:
     return u.inverse() * v.inverse() * u * v
 
 
-def reduce(alphabet: Alphabet, letters: Iterable[tuple[int, int]]) -> Word:
-    """Freely reduce a raw run sequence into a :class:`Word`."""
-    return Word(alphabet, tuple(letters))
-
-
-def exponent_vector(word: Word) -> tuple[int, ...]:
-    return word.exponent_vector()
-
-
 class FreeEndomorphism:
     """An endomorphism of the free group, given by generator images."""
 
@@ -220,12 +211,3 @@ class FreeEndomorphism:
             "%s -> %s" % (self.alphabet.names[g], w) for g, w in enumerate(self.images)
         )
         return "FreeEndomorphism(%s)" % body
-
-
-def apply_endomorphism(phi: FreeEndomorphism, word: Word) -> Word:
-    return phi(word)
-
-
-def compose(phi: FreeEndomorphism, psi: FreeEndomorphism) -> FreeEndomorphism:
-    """Left-to-right: apply phi first, then psi.  See FreeEndomorphism.compose."""
-    return phi.compose(psi)

@@ -83,23 +83,6 @@ def test_dwyer_json_schema(capsys):
     assert payload["results"][2]["torsion"] == [2, 2, 2]
 
 
-def test_dwyer_jobs_match_serial(capsys):
-    code, serial, _ = run(capsys, "dwyer", "--group", "basilica", "--max-class", "3", "--json")
-    assert code == 0
-    code, parallel, _ = run(
-        capsys, "dwyer", "--group", "basilica", "--max-class", "3", "--json", "--jobs", "2"
-    )
-    assert code == 0
-
-    def strip(text):
-        rows = json.loads(text)["results"]
-        return [
-            {k: v for k, v in row.items() if not k.startswith("t_")} for row in rows
-        ]
-
-    assert strip(serial) == strip(parallel)
-
-
 def test_nq_json_and_infinite_order(capsys):
     code, out, _ = run(capsys, "nq", "--group", "basilica", "--max-class", "3", "--json")
     assert code == 0
@@ -195,6 +178,10 @@ def test_missing_source_is_usage_error(capsys):
 def test_nonpositive_class_is_usage_error(capsys):
     code, _, _ = run(capsys, "nq", "--group", "grigorchuk", "--max-class", "0")
     assert code == 1
+    # there is no --jobs option
+    code, _, err = run(capsys, "dwyer", "--group", "basilica", "--max-class", "3", "--jobs", "2")
+    assert code == 1
+    assert "--jobs" in err
 
 
 def test_parse_error_exit(tmp_path, capsys):
@@ -213,9 +200,10 @@ def test_missing_file_exit(capsys):
 def test_computation_failure_exit(tmp_path, capsys):
     path = tmp_path / "swap.lp"
     path.write_text(SWAP)
-    code, _, err = run(capsys, "dwyer", "--file", str(path), "--max-class", "3")
-    assert code == 2
-    assert "ill-defined image" in err
+    for command in ("dwyer", "nq"):
+        code, _, err = run(capsys, command, "--file", str(path), "--max-class", "3")
+        assert code == 2, command
+        assert "ill-defined image" in err
 
 
 def test_check_conjecture_rejects_file_source(capsys):

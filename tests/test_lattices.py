@@ -7,7 +7,6 @@ import pytest
 
 from lpres.lattices import (
     AbelianInvariants,
-    extend_basis,
     hnf,
     left_kernel,
     matrix_product,
@@ -63,14 +62,38 @@ def test_hnf_canonical_shape():
             assert 0 <= basis.rows[i][p] < basis.rows[k][p]
 
 
+def random_rows(rng, m, n, bound, density=1.0):
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
 def test_hnf_invariant_under_unimodular_mixes():
     rng = random.Random(77)
     for _ in range(60):
-        rows = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
+        rows = random_rows(rng, 4, 4, 20)
         reference = hnf(rows)
         mix = random_unimodular(rng, 4)
         mixed = matrix_product(mix, rows)
         assert hnf(mixed) == reference
+    # non-square, rank-deficient, sparse, and with entries up to 10^12
+    for _ in range(120):
+        m, n = rng.randint(2, 7), rng.randint(1, 7)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows = random_rows(rng, m, n, 10**12)
+        elif kind == 1:
+            # m rows in the span of k < m rows
+            k = rng.randint(1, m - 1)
+            rows = matrix_product(random_rows(rng, m, k, 10**6), random_rows(rng, k, n, 10**6))
+        else:
+            rows = random_rows(rng, m, n, 10**12, density=0.2)
+        reference = hnf(rows, n)
+        if kind == 1:
+            assert reference.rank <= k
+        mixed = matrix_product(random_unimodular(rng, m), rows)
+        assert hnf(mixed, n) == reference
 
 
 def test_hnf_empty_and_zero():
@@ -124,19 +147,6 @@ def test_membership_against_enumeration():
                 assert rebuilt == list(probe)
 
 
-def test_extend_basis_reports():
-    basis = hnf([[2, 0], [0, 2]])
-    same, report = extend_basis(basis, [2, 2])
-    assert report.dependent and not report.rank_grew
-    assert report.coefficients == (1, 1)
-    assert same == basis
-    grown, report = extend_basis(basis, [1, 0])
-    assert not report.dependent and not report.rank_grew  # index drops, rank equal
-    assert grown.rows == ((1, 0), (0, 2))
-    taller, report = extend_basis(hnf([[2, 0]], ncols=2), [0, 3])
-    assert not report.dependent and report.rank_grew
-
-
 def test_left_kernel():
     rng = random.Random(80)
     for _ in range(40):
@@ -147,6 +157,8 @@ def test_left_kernel():
             assert all(x == 0 for x in row_times_matrix(row, mat))
         rank = hnf(mat, n).rank
         assert len(kernel) == m - rank
+        # saturated: Z^m / kernel has no torsion
+        assert smith_invariants(kernel, m).torsion == ()
 
 
 def test_smith_known_values():

@@ -5,6 +5,7 @@ import pytest
 from lpres.lattices import AbelianInvariants, membership, row_times_matrix
 from lpres.multiplier import dwyer_quotient, dwyer_range
 from lpres.presentations import load_catalog, parse_one
+from lpres.quotients import nilpotent_quotient
 
 
 def test_finite_nilpotent_groups_stabilize_at_full_multiplier():
@@ -23,6 +24,21 @@ def test_finite_nilpotent_groups_stabilize_at_full_multiplier():
     steps = dwyer_range(klein, 2)
     assert steps[0].invariants == AbelianInvariants(0, (2,))
     assert steps[1].invariants == AbelianInvariants(0, (2,))
+
+
+def test_dwyer_layers_match_the_quotient_tower():
+    """dwyer_range and nilpotent_quotient read one tower, also past stabilization."""
+    klein = parse_one("group klein { generators: a, b; fixed: a^2, b^2, (a*b)^2; }")
+    cases = [
+        (load_catalog("grigorchuk"), 5),
+        (load_catalog("basilica"), 4),
+        (load_catalog("bsv"), 4),
+        (klein, 3),
+    ]
+    for pres, cmax in cases:
+        layers = nilpotent_quotient(pres, cmax + 1).lcs_factors()
+        layers += [AbelianInvariants(0, ())] * (cmax + 1 - len(layers))
+        assert [s.next_layer for s in dwyer_range(pres, cmax)] == layers[1:], pres.name
 
 
 def test_order_identity_with_next_layer():
