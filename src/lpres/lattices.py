@@ -1,10 +1,13 @@
 """Exact integer lattice arithmetic.
 
 Everything here takes dense integer row vectors (lists of ints) with
-arbitrary-precision arithmetic; the one echelon behind them works on
-sparse rows.  The central objects are row-style Hermite normal forms,
-used as canonical bases of subgroups of Z^n, and Smith invariants, used
-to name finitely generated abelian groups.
+arbitrary-precision arithmetic.  The one echelon behind them works on
+sparse rows and keeps them in canonical HNF after every insert, so
+reading its result off only makes the rows dense, and reducing a vector
+against it gives the vector's canonical remainder modulo the lattice,
+which is zero exactly for members.  The central objects are row-style
+Hermite normal forms, used as canonical bases of subgroups of Z^n, and
+Smith invariants, used to name finitely generated abelian groups.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -15,6 +18,7 @@ exactly when they produce identical HNF rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 
@@ -67,83 +71,109 @@ class HNFBasis:
         return iter(self.rows)
 
 
-class _SparseEchelon:
-    """Row echelon over Z on sparse rows {column: entry}.
+def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
+    """The sparse row ca*a + cb*b."""
+    out = {}
+    for k in a.keys() | b.keys():
+        v = ca * a.get(k, 0) + cb * b.get(k, 0)
+        if v:
+            out[k] = v
+    return out
 
-    Rows are inserted one at a time, each pivot being the leftmost
-    column of its row; canonical() finishes the reduction into the
-    canonical HNF.  This is the one echelon behind hnf and left_kernel,
-    and build_cover feeds it the consistency rows of a cover directly.
+
+class _SparseEchelon:
+    """Row echelon over Z on sparse rows {column: entry}, kept in canonical HNF.
+
+    `rows` maps each pivot column to its row.  After every insert the
+    rows form the canonical HNF of the lattice inserted so far: each
+    pivot is the leftmost column of its row and positive, and every
+    entry at another row's pivot column lies in [0, pivot), so a unit
+    pivot column is clear in every other row.  Keeping the entries
+    reduced also stops the coefficient growth of unreduced integer
+    elimination.  This is the one echelon behind hnf, left_kernel and
+    spin_closure, and build_cover feeds it the consistency rows of a
+    cover directly.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
-    @staticmethod
-    def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
-        out = {}
-        for k in a.keys() | b.keys():
-            v = ca * a.get(k, 0) + cb * b.get(k, 0)
-            if v:
-                out[k] = v
-        return out
+    def _reduce(self, r: dict[int, int], cols: list[int]) -> None:
+        """Reduce r in place into [0, pivot) at pivot columns, in one pass.
 
-    def _canonicalize(self, r: dict[int, int], exclude: int = -1) -> dict[int, int]:
-        """Reduce the entries of r at pivot columns into [0, pivot).
-
-        Keeps every working row's entries bounded by the pivot values,
-        which stops the coefficient growth that unreduced integer
-        elimination suffers from.
+        `cols` is a heap of pivot columns that must hold every pivot
+        column past its least element where r is nonzero.  Columns are
+        taken in increasing order; reducing at column k changes r only
+        at columns >= k, and a pivot column it makes nonzero is pushed.
         """
-        while True:
-            col = None
-            for k, v in r.items():
-                if k == exclude:
-                    continue
-                cur = self.rows.get(k)
-                if cur is not None and not 0 <= v < cur[k] and (col is None or k < col):
-                    col = k
-            if col is None:
-                return r
-            cur = self.rows[col]
-            r = self._combine(r, 1, cur, -(r[col] // cur[col]))
-
-    def insert(self, row: dict[int, int]):
-        pending = [{k: v for k, v in row.items() if v}]
-        while pending:
-            r = self._canonicalize(pending.pop())
-            while r:
-                lead = min(r)
-                cur = self.rows.get(lead)
-                if cur is None:
-                    if r[lead] < 0:
-                        r = {k: -v for k, v in r.items()}
-                    self.rows[lead] = self._canonicalize(r, exclude=lead)
-                    break
-                d, a = cur[lead], r[lead]
-                q, rem = divmod(a, d)
-                if rem == 0:
-                    r = self._canonicalize(self._combine(r, 1, cur, -q))
+        rows = self.rows
+        while cols:
+            k = heappop(cols)
+            v = r.get(k)
+            if v is None:
+                continue
+            piv = rows[k]
+            q = v // piv[k]
+            if not q:
+                continue
+            for j, c in piv.items():
+                w = r.get(j)
+                if w is None:
+                    r[j] = -q * c
+                    if j in rows:
+                        heappush(cols, j)
                 else:
-                    g, x, y = xgcd(d, a)
-                    new = self._combine(cur, x, r, y)
-                    displaced = self._combine(cur, 1, new, -(d // g))
-                    r = self._canonicalize(self._combine(r, 1, new, -(a // g)))
-                    self.rows[lead] = self._canonicalize(new, exclude=lead)
-                    if displaced:
-                        pending.append(self._canonicalize(displaced))
+                    w -= q * c
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """The canonical remainder of row modulo the lattice: empty when
+        the row lies in it."""
+        r = {k: v for k, v in row.items() if v}
+        self._reduce(r, sorted(k for k in r if k in self.rows))
+        return r
+
+    def _store(self, lead: int, r: dict[int, int]) -> None:
+        """Make r, reduced at the other pivot columns, the row of pivot
+        lead, and reduce column lead of every row with a smaller pivot."""
+        rows = self.rows
+        rows[lead] = r
+        d = r[lead]
+        for p, row in rows.items():
+            if p < lead and not 0 <= row.get(lead, 0) < d:
+                self._reduce(row, sorted(k for k in row if k >= lead and k in rows))
+
+    def insert(self, row: dict[int, int]) -> None:
+        """Add row to the lattice, keeping the rows in canonical HNF."""
+        rows = self.rows
+        pending = [row]
+        while pending:
+            r = self.reduce(pending.pop())
+            if not r:
+                continue
+            lead = min(r)
+            cur = rows.get(lead)
+            if cur is None:
+                if r[lead] < 0:
+                    r = {k: -v for k, v in r.items()}
+                    self._reduce(r, sorted(k for k in r if k in rows))
+                self._store(lead, r)
+                continue
+            # r[lead] lies in (0, pivot): replace the pivot by their gcd
+            d, a = cur[lead], r[lead]
+            g, x, y = xgcd(d, a)
+            new = _combine(cur, x, r, y)
+            pending.append(_combine(cur, 1, new, -(d // g)))
+            pending.append(_combine(r, 1, new, -(a // g)))
+            self._reduce(new, sorted(k for k in new if k > lead and k in rows))
+            self._store(lead, new)
 
     def canonical(self, ncols: int) -> HNFBasis:
+        """The rows, already canonical, as a dense HNFBasis."""
         pivots = sorted(self.rows)
-        for p in pivots:
-            d = self.rows[p][p]
-            for p2 in pivots:
-                if p2 >= p:
-                    break
-                e = self.rows[p2].get(p, 0)
-                q = e // d
-                if q:
-                    self.rows[p2] = self._combine(self.rows[p2], 1, self.rows[p], -q)
         dense = []
         for p in pivots:
             row = [0] * ncols
@@ -160,13 +190,17 @@ def hnf(rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> HNFBasis:
         if not rows:
             raise ValueError("ncols is required for an empty generating set")
         ncols = len(rows[0])
+    return _echelon(rows, ncols).canonical(ncols)
+
+
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> _SparseEchelon:
+    """An echelon holding the lattice spanned by rows of length ncols."""
+    echelon = _SparseEchelon()
     for r in rows:
         if len(r) != ncols:
             raise ValueError("rows of unequal length")
-    echelon = _SparseEchelon()
-    for r in rows:
         echelon.insert(dict(enumerate(r)))
-    return echelon.canonical(ncols)
+    return echelon
 
 
 def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
@@ -196,9 +230,14 @@ def left_kernel(matrix: Sequence[Sequence[int]], nrows: Optional[int] = None) ->
     rows = [list(r) for r in matrix]
     if nrows is None:
         nrows = len(rows)
+    elif rows and nrows != len(rows):
+        raise ValueError("nrows does not match the number of matrix rows")
     if not rows:
         return [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     ncols = len(rows[0])
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("rows of unequal length")
     # The lattice of [M | I] is {(xM, x)}; the rows of its HNF that are
     # zero on the M block span its meet with {(0, x)}, the kernel, and
     # their entries past column ncols already form a canonical HNF.
@@ -406,8 +445,10 @@ def spin_closure(
 
     The base rows are included but act as the ambient torsion: closure
     is tested modulo the running lattice, and matrices are applied to
-    every vector that enlarges it.  Processing is breadth-first and
-    deterministic.
+    every vector that enlarges it.  One echelon holds the running
+    lattice: an image whose remainder modulo it is zero is a member,
+    and a nonzero remainder is inserted.  Processing is breadth-first
+    and deterministic.
     """
     seeds = [list(r) for r in seed_rows]
     base = [list(r) for r in base_rows]
@@ -416,7 +457,7 @@ def spin_closure(
         if not probe:
             raise ValueError("ncols is required when both seed and base are empty")
         ncols = len(probe[0])
-    lattice = hnf(seeds + base, ncols) if (seeds or base) else hnf([], ncols)
+    echelon = _echelon(seeds + base, ncols)
     queue = list(seeds)
     head = 0
     while head < len(queue):
@@ -424,7 +465,10 @@ def spin_closure(
         head += 1
         for mat in matrices:
             img = row_times_matrix(vec, mat)
-            if membership(lattice, img) is None:
-                lattice = hnf(list(lattice.rows) + [img], ncols)
+            if len(img) != ncols:
+                raise ValueError("matrix image length does not match ncols")
+            remainder = echelon.reduce(dict(enumerate(img)))
+            if remainder:
+                echelon.insert(remainder)
                 queue.append(img)
-    return lattice
+    return echelon.canonical(ncols)

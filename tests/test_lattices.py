@@ -4,9 +4,15 @@ import itertools
 import random
 
 import pytest
+from echelon_oracle import (
+    reference_hnf,
+    reference_left_kernel,
+    reference_spin_closure,
+)
 
 from lpres.lattices import (
     AbelianInvariants,
+    _SparseEchelon,
     hnf,
     left_kernel,
     matrix_product,
@@ -96,6 +102,61 @@ def test_hnf_invariant_under_unimodular_mixes():
         assert hnf(mixed, n) == reference
 
 
+def oracle_input(rng):
+    """0-9 rows of 1-9 columns: dense or sparse, small or up to 10^12,
+    rank-deficient or with duplicated rows."""
+    m, n = rng.randint(0, 9), rng.randint(1, 9)
+    bound = rng.choice([1, 2, 9, 10**6, 10**12])
+    density = rng.choice([1.0, 0.5, 0.2])
+    kind = rng.randrange(3)
+    if kind == 1 and m >= 2:
+        k = rng.randint(1, m - 1)
+        return matrix_product(random_rows(rng, m, k, 3), random_rows(rng, k, n, bound, density)), n
+    rows = random_rows(rng, m, n, bound, density)
+    if kind == 2 and m >= 2:
+        for _ in range(rng.randint(1, m - 1)):
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+    return rows, n
+
+
+def test_lattice_functions_match_the_reference_echelon():
+    rng = random.Random(2011)
+    for _ in range(2000):
+        rows, n = oracle_input(rng)
+        assert hnf(rows, n).rows == reference_hnf(rows, n)
+        if rows:
+            assert left_kernel(rows) == reference_left_kernel(rows)
+        if n <= 5:
+            mats = [random_rows(rng, n, n, 2) for _ in range(rng.randint(0, 2))]
+            seeds, base = rows[:2], rows[2:4]
+            got = spin_closure(seeds, mats, base, ncols=n).rows
+            assert got == reference_spin_closure(seeds, mats, base, n)
+
+
+def assert_canonical_echelon(rows):
+    for p, row in rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(v for v in row.values())
+        for p2, row2 in rows.items():
+            if p2 != p:
+                assert 0 <= row2.get(p, 0) < row[p]
+
+
+def test_echelon_is_canonical_after_every_insert():
+    rng = random.Random(2012)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        # small entries make many unit pivots; large ones the gcd branch
+        bound = rng.choice([1, 2, 6, 10**9])
+        density = rng.choice([1.0, 0.4, 0.15])
+        rows = random_rows(rng, rng.randint(1, 14), n, bound, density)
+        echelon = _SparseEchelon()
+        for row in rows:
+            echelon.insert({k: v for k, v in enumerate(row) if v})
+            assert_canonical_echelon(echelon.rows)
+        assert echelon.canonical(n).rows == reference_hnf(rows, n)
+
+
 def test_hnf_empty_and_zero():
     basis = hnf([], ncols=3)
     assert basis.rank == 0
@@ -159,6 +220,18 @@ def test_left_kernel():
         assert len(kernel) == m - rank
         # saturated: Z^m / kernel has no torsion
         assert smith_invariants(kernel, m).torsion == ()
+
+
+def test_left_kernel_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        left_kernel([[1, 2], [3, 4, 5]])
+
+
+def test_left_kernel_rejects_wrong_nrows():
+    with pytest.raises(ValueError):
+        left_kernel([[1, 2], [2, 4]], nrows=3)
+    assert left_kernel([[1, 2], [2, 4]], nrows=2) == [[2, -1]]
+    assert left_kernel([], nrows=2) == [[1, 0], [0, 1]]
 
 
 def test_smith_known_values():
