@@ -3,9 +3,10 @@
 The adjustment step replaces the relators by an equivalent set split
 into two parts: words whose exponent vectors form a lattice basis (so
 the abelianization can be read off), and consequence words that lie in
-the derived subgroup.  Multiplier computations need the consequences,
-because only words with zero exponent vector can represent homology
-classes.
+the derived subgroup.  Only words with zero exponent vector can
+represent classes of the Schur multiplier, so the consequences span
+its image; the tests compare that span with the image lpres reads
+off the imposed relator lattice.
 """
 
 from lpres import adjust, load_catalog, serialize

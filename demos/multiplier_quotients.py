@@ -1,8 +1,9 @@
 """Multiplier images along the tower, with the order identity on display.
 
 For each class c the cover of G/gamma_{c+1}G is built once; its central
-section carries both the multiplier M(G/gamma_{c+1}G) and the image of
-M(G) inside it, spanned by the spun values of the adjusted relators.
+section carries both the multiplier M(G/gamma_{c+1}G), the kernel of
+its abelianization map, and the image of M(G) inside it: the relator
+lattice the tower imposes, met with that kernel.
 When the multiplier is finite, its order factors exactly as the image
 order times the size of the next lower-central layer.
 """

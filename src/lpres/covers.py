@@ -17,6 +17,7 @@ endomorphisms of the presentation lift to integer matrices on it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .lattices import (
@@ -24,6 +25,7 @@ from .lattices import (
     HNFBasis,
     _SparseEchelon,
     left_kernel,
+    matrix_product,
     smith_invariants,
     spin_closure,
     subgroup_invariants,
@@ -93,13 +95,6 @@ def lift_through_definitions(
     generators' images are ever needed.
     """
     ims: list[dict[int, int]] = []
-
-    def map_nf(nf: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for h in sorted(nf):
-            out = pc.mul(out, pc.pow_nf(ims[h], nf[h]))
-        return out
-
     for g in range(pc.ngens):
         d = pc.definitions[g]
         if d[0] == "free":
@@ -108,20 +103,20 @@ def lift_through_definitions(
             s = d[1]
             base = images[s]
             _assert_defining(base, g)
-            omega = {h: e for h, e in base.items() if h != g}
-            res = pc.mul(pc.inv(map_nf(omega)), pc.eval_word(images, endo.images[s]))
+            omega = sorted((h, e) for h, e in base.items() if h != g)
+            res = pc.mul(pc.inv(pc.substitute(ims, omega)), pc.eval_word(images, endo.images[s]))
         elif d[0] == "conj":
             i, j = d[1], d[2]
             tail = pc.conj[(i, j)]
             _assert_defining(tail, g)
-            prefix = {h: e for h, e in tail.items() if h != g}
-            res = pc.mul(pc.inv(map_nf(prefix)), pc.comm_nf(ims[j], ims[i]))
+            prefix = sorted((h, e) for h, e in tail.items() if h != g)
+            res = pc.mul(pc.inv(pc.substitute(ims, prefix)), pc.comm_nf(ims[j], ims[i]))
         elif d[0] == "pow":
             i = d[1]
             tail = pc.power_tails.get(i, {})
             _assert_defining(tail, g)
-            prefix = {h: e for h, e in tail.items() if h != g}
-            res = pc.mul(pc.inv(map_nf(prefix)), pc.pow_nf(ims[i], pc.orders[i]))
+            prefix = sorted((h, e) for h, e in tail.items() if h != g)
+            res = pc.mul(pc.inv(pc.substitute(ims, prefix)), pc.pow_nf(ims[i], pc.orders[i]))
         else:
             raise AssertionError("unknown definition %r" % (d,))
         ims.append(res)
@@ -275,14 +270,6 @@ class Cover:
             self._endo_cache[endo] = cached
         return cached
 
-    def apply_lifted(self, endo: FreeEndomorphism, nf: dict[int, int]) -> dict[int, int]:
-        """Image of a cover element under the lifted endomorphism."""
-        ims = self.lifted_images(endo)
-        out: dict[int, int] = {}
-        for g in sorted(nf):
-            out = self.pc.mul(out, self.pc.pow_nf(ims[g], nf[g]))
-        return out
-
     def endomorphism_matrices(self) -> list[list[list[int]]]:
         """Action of each declared endomorphism on the central section.
 
@@ -304,23 +291,24 @@ class Cover:
             mats.append(rows)
         return mats
 
-    def spun_relator_lattice(
-        self,
-        fixed: Optional[Sequence[Word]] = None,
-        iterated: Optional[Sequence[Word]] = None,
-    ) -> HNFBasis:
+    @cached_property
+    def relator_lattice(self) -> HNFBasis:
         """Values of the fixed relators plus the closure of the iterated
-        relator values under the lifted endomorphisms."""
-        if fixed is None:
-            fixed = self.pres.fixed
-        if iterated is None:
-            iterated = self.pres.iterated
+        relator values under the lifted endomorphisms, over the torsion
+        of the section: the lattice the next quotient imposes."""
         return spin_closure(
-            self.relator_rows(iterated),
+            self.relator_rows(self.pres.iterated),
             self.endomorphism_matrices(),
-            base_rows=self.torsion_rows() + self.relator_rows(fixed),
+            base_rows=self.torsion_rows() + self.relator_rows(self.pres.fixed),
             ncols=self.central_dim,
         )
+
+    def image_rows(self) -> list[list[int]]:
+        """Rows spanning the image of the group's multiplier: the relator
+        lattice met with the kernel of mu_rows (see multiplier.py)."""
+        rows = self.relator_lattice.rows
+        kernel = left_kernel(matrix_product(rows, self.mu_rows()), nrows=len(rows))
+        return matrix_product(kernel, rows)
 
 
 def build_cover(system: QuotientSystem) -> Cover:
@@ -414,7 +402,7 @@ def build_cover(system: QuotientSystem) -> Cover:
 
 def impose_relators(cover: Cover) -> QuotientSystem:
     """Quotient the cover by the spun relator values: the next tower step."""
-    lattice = cover.spun_relator_lattice()
+    lattice = cover.relator_lattice
     pc = cover.pc.copy()
     images = [dict(im) for im in cover.lift_images]
     for t in range(cover.central_dim):

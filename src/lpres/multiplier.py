@@ -1,11 +1,11 @@
 """Multiplier quotients along the nilpotent tower.
 
-For an invariantly L-presented group G with class-c quotient H_c, the
-Schur multiplier M(H_c) is the kernel of the abelianization map on the
-central section of the cover of H_c.  The image of M(G) inside it is
-spanned by the values of the adjusted relator consequences: words that
-normally generate the relation subgroup and lie in the derived
-subgroup, with the iterated ones closed under the lifted endomorphisms.
+For an invariantly L-presented group G = F/R with class-c quotient
+H_c = F/N_c, the Schur multiplier M(H_c) = (N_c meet F')/[N_c, F] is the
+kernel of the abelianization map on the central section of the cover
+of H_c.  The image of M(G) = (R meet F')/[R, F] inside it is the relator
+lattice the tower imposes on that section, met with the same kernel:
+[N_c, F] lies in F', so R[N_c, F] meet F' = (R meet F')[N_c, F].
 The resulting chain of images, one per class, is the group's multiplier
 filtration; its terms are computed here together with the data needed
 to cross-check them.
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .lattices import AbelianInvariants, subgroup_invariants
-from .presentations import LPresentation, adjust
+from .presentations import LPresentation
 from .quotients import tower
 
 
@@ -44,11 +44,13 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
     """Multiplier images for every class from 1 to max_class.
 
     Class c reads its image off the cover of the class-c quotient, the
-    same cover the tower imposes the class-(c+1) quotient on.
+    same cover and relator lattice the tower imposes the class-(c+1)
+    quotient with.
     """
     if max_class < 1:
         raise ValueError("max_class must be at least 1")
-    adjusted = adjust(pres)
+    if not pres.invariant:
+        raise ValueError("the multiplier image requires an invariant presentation")
     levels = tower(pres)
 
     steps: list[DwyerStep] = []
@@ -59,10 +61,7 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
         t1 = time.perf_counter()
         cover, system = next(levels)
         t2 = time.perf_counter()
-        lattice = cover.spun_relator_lattice(
-            adjusted.fixed_consequences, adjusted.iterated_consequences
-        )
-        image = subgroup_invariants(lattice.rows, cover.torsion_rows(), cover.central_dim)
+        image = subgroup_invariants(cover.image_rows(), cover.torsion_rows(), cover.central_dim)
         section = cover.multiplier_invariants()
         t3 = time.perf_counter()
         if system.nclass == c + 1:

@@ -261,12 +261,19 @@ class PcPresentation:
             out = self.mul(out, self.pow_nf(self.conj_gen_nf(g, sign, j), nf[j]))
         return out
 
+    def substitute(
+        self, images: Sequence[dict[int, int]], syllables: Iterable[tuple[int, int]]
+    ) -> dict[int, int]:
+        """Product of images[g]^e over the (g, e) syllables: a word's, or
+        the sorted items of a normal form to map it by g -> images[g]."""
+        out: dict[int, int] = {}
+        for g, e in syllables:
+            out = self.mul(out, self.pow_nf(images[g], e))
+        return out
+
     def eval_word(self, images: Sequence[dict[int, int]], word: Word) -> dict[int, int]:
         """Image of a free word under the map sending free generator s to images[s]."""
-        out: dict[int, int] = {}
-        for s, e in word.syllables:
-            out = self.mul(out, self.pow_nf(images[s], e))
-        return out
+        return self.substitute(images, word.syllables)
 
     # ------------------------------------------------------------ consistency
 

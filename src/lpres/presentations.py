@@ -125,6 +125,10 @@ def enumerate_monoid(
 
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", ":", "*", "^", "-")
 
+# Each level of nested words costs the word grammar three stack frames;
+# deeper input is rejected well before Python's recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -188,6 +192,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -272,10 +277,14 @@ class _Parser:
         return w
 
     def parse_word(self, alphabet: Alphabet) -> Word:
+        if self.depth == MAX_NESTING:
+            self.fail("words nested more than %d deep" % MAX_NESTING)
+        self.depth += 1
         w = self.parse_factor(alphabet)
         while self.at_sym("*"):
             self.advance()
             w = w * self.parse_factor(alphabet)
+        self.depth -= 1
         return w
 
     def parse_word_list(self, alphabet: Alphabet) -> list[Word]:

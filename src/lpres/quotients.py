@@ -51,12 +51,10 @@ def tower(pres: LPresentation) -> Iterator[tuple[Cover, QuotientSystem]]:
     dwyer_range all consume it.  It never stops on its own; once the
     lower central series has stabilized, system.nclass stays below c.
 
-    The original relators are imposed, not the adjusted consequences
-    that dwyer_range spins.  On the catalog groups both give the same
-    lattices, but when an ``invariant: true`` claim is false they need
-    not: for a^2 with the swap a <-> b the adjusted relators are a^2
-    and b^2, giving (Z_2)^2 at class 1 instead of Z x Z_2, and no later
-    cover then detects the ill-defined image.
+    The original relators are imposed, not the adjusted consequences:
+    when an ``invariant: true`` claim is false those can present another
+    group (a^2 with the swap a <-> b adjusts to a^2 and b^2), and no
+    later cover then detects the ill-defined image.
     """
     system = trivial_system(pres)
     while True:
@@ -102,18 +100,11 @@ def induce_endomorphism(
     pc = system.pc
     ims = lift_through_definitions(pc, system.images, endo)
     if validate:
-
-        def map_nf(nf):
-            out: dict[int, int] = {}
-            for h in sorted(nf):
-                out = pc.mul(out, pc.pow_nf(ims[h], nf[h]))
-            return out
-
         for i in range(pc.ngens):
             o = pc.orders[i]
             if o is not None:
                 lhs = pc.pow_nf(ims[i], o)
-                rhs = map_nf(pc.power_tails.get(i, {}))
+                rhs = pc.substitute(ims, sorted(pc.power_tails.get(i, {}).items()))
                 if lhs != rhs:
                     raise ValueError(
                         "ill-defined image detected: power relation of generator "
@@ -121,7 +112,7 @@ def induce_endomorphism(
                     )
         for (i, j), tail in sorted(pc.conj.items()):
             lhs = pc.comm_nf(ims[j], ims[i])
-            rhs = map_nf(tail)
+            rhs = pc.substitute(ims, sorted(tail.items()))
             if lhs != rhs:
                 raise ValueError(
                     "ill-defined image detected: conjugation relation (%d, %d) "

@@ -22,8 +22,9 @@ from lpres.lattices import (
     membership,
     row_times_matrix,
     smith_invariants,
+    spin_closure,
 )
-from lpres.presentations import adjust, load_catalog
+from lpres.presentations import adjust, load_catalog, parse_one
 from lpres.quotients import nilpotent_quotient
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -208,19 +209,38 @@ def test_criterion_10_lattice_arithmetic():
 def test_criterion_11_spun_lattice_is_invariant():
     from conftest import ACCEPTANCE_CLASSES
 
-    for name, cmax in ACCEPTANCE_CLASSES.items():
-        pres = load_catalog(name)
+    cases = [(load_catalog(name), cmax) for name, cmax in ACCEPTANCE_CLASSES.items()]
+    cases += [
+        (parse_one("group dih8 { generators: a, b; fixed: a^2, b^2, (a*b)^4; }"), 4),
+        (parse_one("group quat8 { generators: a, b; fixed: a^4, b^2*a^-2, a^b*a; }"), 4),
+        (parse_one("group klein { generators: a, b; fixed: a^2, b^2, (a*b)^2; }"), 4),
+    ]
+    for pres, cmax in cases:
+        name = pres.name
         adj = adjust(pres)
         system = impose_relators(build_cover(trivial_system(pres)))
         for c in range(1, cmax + 1):
             cover = build_cover(system)
-            lattice = cover.spun_relator_lattice(
-                adj.fixed_consequences, adj.iterated_consequences
+            matrices = cover.endomorphism_matrices()
+            torsion = cover.torsion_rows()
+            lattice = spin_closure(
+                cover.relator_rows(adj.iterated_consequences),
+                matrices,
+                base_rows=torsion + cover.relator_rows(adj.fixed_consequences),
+                ncols=cover.central_dim,
             )
-            for matrix in cover.endomorphism_matrices():
+            for matrix in matrices:
                 for row in lattice.rows:
                     image = row_times_matrix(list(row), matrix)
                     assert membership(lattice, image) is not None, (name, c)
+                for row in cover.relator_lattice.rows:
+                    image = row_times_matrix(list(row), matrix)
+                    assert membership(cover.relator_lattice, image) is not None, (name, c)
+            # the image read off the imposed lattice is the span of the
+            # adjusted consequences, modulo the torsion of the section
+            assert hnf(cover.image_rows() + torsion, cover.central_dim) == hnf(
+                list(lattice.rows) + torsion, cover.central_dim
+            ), (name, c)
             system = impose_relators(cover)
 
 

@@ -25,6 +25,8 @@ group swap {
 }
 """
 
+NONINVARIANT = SWAP.replace("invariant: true", "invariant: false")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -192,6 +194,18 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "expected" in err
 
 
+def test_deeply_nested_word_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.lp"
+    path.write_text(
+        "group deep {\n  generators: a, b;\n  fixed: %sa%s;\n}\n" % ("(" * 3000, ")" * 3000)
+    )
+    code, _, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert code == 1
+    assert "error:" in err
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit(capsys):
     code, _, _ = run(capsys, "adjust", "--file", "/nonexistent/path.lp")
     assert code == 1
@@ -204,6 +218,11 @@ def test_computation_failure_exit(tmp_path, capsys):
         code, _, err = run(capsys, command, "--file", str(path), "--max-class", "3")
         assert code == 2, command
         assert "ill-defined image" in err
+    # a presentation declared not invariant has no multiplier image
+    path.write_text(NONINVARIANT)
+    code, _, err = run(capsys, "dwyer", "--file", str(path), "--max-class", "3")
+    assert code == 2
+    assert "invariant presentation" in err
 
 
 def test_check_conjecture_rejects_file_source(capsys):

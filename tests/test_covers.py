@@ -151,7 +151,8 @@ def test_lifted_endomorphism_intertwines_projection(name):
         for _name, endo in pres.endomorphisms:
             for _ in range(8):
                 w = random_word(rng, pres.alphabet, rng.randrange(1, 7))
-                lhs = cover.apply_lifted(endo, cover.pc.eval_word(cover.lift_images, w))
+                nf = cover.pc.eval_word(cover.lift_images, w)
+                lhs = cover.pc.substitute(cover.lifted_images(endo), sorted(nf.items()))
                 rhs = cover.pc.eval_word(cover.lift_images, endo(w))
                 assert lhs == rhs
         system = impose_relators(cover)
