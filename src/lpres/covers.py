@@ -26,7 +26,6 @@ from .lattices import (
     _SparseEchelon,
     left_kernel,
     matrix_product,
-    smith_invariants,
     spin_closure,
     subgroup_invariants,
 )
@@ -48,9 +47,6 @@ class QuotientSystem:
     @property
     def nclass(self) -> int:
         return self.pc.nclass
-
-    def image_of_word(self, word: Word) -> dict[int, int]:
-        return self.pc.eval_word(self.images, word)
 
     def lcs_factors(self) -> list[AbelianInvariants]:
         return self.pc.lcs_factors()
@@ -249,9 +245,6 @@ class Cover:
             list(self.pc.abelian_image[self.base_ngens + t]) for t in range(self.central_dim)
         ]
 
-    def section_invariants(self) -> AbelianInvariants:
-        return smith_invariants(self.torsion_rows(), self.central_dim)
-
     def multiplier_invariants(self) -> AbelianInvariants:
         """Schur multiplier of the quotient: kernel of the section's abelianization."""
         kernel = left_kernel(self.mu_rows(), nrows=self.central_dim)
@@ -387,14 +380,8 @@ def build_cover(system: QuotientSystem) -> Cover:
     basis = echelon.canonical(pc.ngens - cs)
 
     # every enforced row must be invisible in the cover's abelianization
-    for row in basis.rows:
-        vec = [0] * pc.nfree
-        for l, e in enumerate(row):
-            if e:
-                for t, x in enumerate(pc.abelian_image[cs + l]):
-                    vec[t] += e * x
-        if any(vec):
-            raise AssertionError("consistency relation with nonzero abelianization")
+    if any(any(v) for v in matrix_product(basis.rows, pc.abelian_image[cs:])):
+        raise AssertionError("consistency relation with nonzero abelianization")
 
     _apply_central_rows(pc, images, basis)
     return Cover(pres, pc, images, cs)

@@ -7,7 +7,10 @@ reading its result off only makes the rows dense, and reducing a vector
 against it gives the vector's canonical remainder modulo the lattice,
 which is zero exactly for members.  The central objects are row-style
 Hermite normal forms, used as canonical bases of subgroups of Z^n, and
-Smith invariants, used to name finitely generated abelian groups.
+Smith invariants, used to name finitely generated abelian groups.  Both
+come from the echelon: Smith invariants alternate row and column HNF
+until the matrix is diagonal, and the invariants of a subgroup of a
+quotient of Z^n are read off a left kernel.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -90,9 +94,9 @@ class _SparseEchelon:
     entry at another row's pivot column lies in [0, pivot), so a unit
     pivot column is clear in every other row.  Keeping the entries
     reduced also stops the coefficient growth of unreduced integer
-    elimination.  This is the one echelon behind hnf, left_kernel and
-    spin_closure, and build_cover feeds it the consistency rows of a
-    cover directly.
+    elimination.  This is the one echelon behind hnf, left_kernel,
+    spin_closure, smith_invariants and subgroup_invariants, and
+    build_cover feeds it the consistency rows of a cover directly.
     """
 
     def __init__(self):
@@ -329,88 +333,22 @@ class AbelianInvariants:
 
 
 def smith_invariants(rows: Iterable[Sequence[int]], ambient_rank: int) -> AbelianInvariants:
-    """Invariants of Z^ambient_rank modulo the lattice spanned by the rows."""
-    work = [list(r) for r in rows]
-    for r in work:
-        if len(r) != ambient_rank:
-            raise ValueError("relation rows must have length ambient_rank")
-    m, n = len(work), ambient_rank
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # locate the smallest nonzero entry in the trailing submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = work[i][j]
-                if x and (best is None or abs(x) < abs(work[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        work[t], work[bi] = work[bi], work[t]
-        if bj != t:
-            for row in work:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            p = work[t][t]
-            for i in range(t + 1, m):
-                if work[i][t]:
-                    q = work[i][t] // p
-                    if q:
-                        wi, wt = work[i], work[t]
-                        for j in range(t, n):
-                            wi[j] -= q * wt[j]
-                    if work[i][t]:
-                        dirty = True
-            if dirty:
-                best = min(
-                    (i for i in range(t, m) if work[i][t]),
-                    key=lambda i: abs(work[i][t]),
-                )
-                work[t], work[best] = work[best], work[t]
-                continue
-            # clear row t
-            dirty = False
-            p = work[t][t]
-            for j in range(t + 1, n):
-                if work[t][j]:
-                    q = work[t][j] // p
-                    if q:
-                        for row in work:
-                            row[j] -= q * row[t]
-                    if work[t][j]:
-                        dirty = True
-            if dirty:
-                jbest = min(
-                    (j for j in range(t, n) if work[t][j]),
-                    key=lambda j: abs(work[t][j]),
-                )
-                for row in work:
-                    row[t], row[jbest] = row[jbest], row[t]
-                continue
-            # divisibility sweep: the pivot must divide the rest
-            p = abs(work[t][t])
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if work[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            wi, wt = work[culprit], work[t]
-            for j in range(t, n):
-                wt[j] += wi[j]
-        diag.append(abs(work[t][t]))
-        t += 1
-    rank = len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(ambient_rank - rank, torsion)
+    """Invariants of Z^ambient_rank modulo the lattice spanned by the rows.
+
+    Row and column HNF alternate until the matrix is diagonal: each
+    round shrinks the leading entry or leaves it dividing its row and
+    column, and the echelon keeps the entries reduced.  Pairwise
+    gcd/lcm then turns the diagonal into a divisor chain.
+    """
+    m = hnf(rows, ambient_rank).rows
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = hnf(zip(*hnf(zip(*m)).rows)).rows
+    diag = [row[i] for i, row in enumerate(m)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return AbelianInvariants(ambient_rank - len(diag), tuple(d for d in diag if d > 1))
 
 
 def subgroup_invariants(
@@ -421,18 +359,16 @@ def subgroup_invariants(
     """Invariants of (V + T) / T for V = span(gens), T = span(relations).
 
     This names the subgroup generated by the images of `gens` inside
-    the quotient Z^ncols / T.
+    the quotient Z^ncols / T: it is Z^k, k = len(gens), modulo the
+    lattice {x : x * gens in T}, which is the first k coordinates of
+    the left kernel of gens stacked on relations.
     """
     gens = [list(g) for g in gens]
-    relations = [list(r) for r in relations]
-    total = hnf(gens + relations, ncols)
-    coeff_rows = []
-    for r in relations:
-        coeffs = membership(total, r)
-        if coeffs is None:
-            raise AssertionError("relation escaped its own span")
-        coeff_rows.append(coeffs)
-    return smith_invariants(coeff_rows, total.rank)
+    rows = gens + [list(r) for r in relations]
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rows must have length ncols")
+    k = len(gens)
+    return smith_invariants([x[:k] for x in left_kernel(rows)], k)
 
 
 def spin_closure(

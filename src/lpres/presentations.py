@@ -271,7 +271,11 @@ class _Parser:
             self.advance()
             tok = self.peek()
             if tok.kind == "int" or (tok.kind == "sym" and tok.value == "-"):
-                w = w ** self.parse_int()
+                n = self.parse_int()
+                try:
+                    w = w**n
+                except (OverflowError, MemoryError):
+                    self.fail("exponent too large to expand", tok)
             else:
                 w = w.conjugate(self.parse_atom(alphabet))
         return w

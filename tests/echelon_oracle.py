@@ -1,14 +1,19 @@
-"""Reference integer echelon for the lattice tests.
+"""Reference integer echelon and Smith form for the lattice tests.
 
-This is the echelon that lattices._SparseEchelon replaced: it inserts
-rows one at a time without keeping them canonical, rescans a whole row
-after every reduction step, and back-reduces once at the end.  It is
-slow but simple, and the tests compare hnf, left_kernel and
-spin_closure against the functions here.  Results are plain tuples of
-rows, since the canonical HNF is unique.
+ReferenceEchelon is the echelon that lattices._SparseEchelon replaced:
+it inserts rows one at a time without keeping them canonical, rescans
+a whole row after every reduction step, and back-reduces once at the
+end.  reference_smith_invariants is the dense Smith elimination that
+smith_invariants replaced, with its own pivot search, row and column
+swaps and divisibility sweep, and reference_subgroup_invariants reads
+coefficients over the HNF of gens + relations as subgroup_invariants
+once did.  They are slow but simple, and the tests compare hnf,
+left_kernel, spin_closure, smith_invariants and subgroup_invariants
+against the functions here.  HNF results are plain tuples of rows,
+since the canonical HNF is unique.
 """
 
-from lpres.lattices import row_times_matrix, xgcd
+from lpres.lattices import AbelianInvariants, row_times_matrix, xgcd
 
 
 def _combine(a, ca, b, cb):
@@ -89,15 +94,22 @@ def reference_hnf(rows, ncols):
     return echelon.canonical(ncols)
 
 
-def reference_membership(hnf_rows, vector):
+def reference_coefficients(hnf_rows, vector):
+    """Coefficients of vector over the HNF rows, or None when outside."""
     v = list(vector)
+    coeffs = []
     for row in hnf_rows:
         p = next(j for j, x in enumerate(row) if x)
         q, r = divmod(v[p], row[p])
         if r:
-            return False
+            return None
+        coeffs.append(q)
         v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return None if any(v) else coeffs
+
+
+def reference_membership(hnf_rows, vector):
+    return reference_coefficients(hnf_rows, vector) is not None
 
 
 def reference_left_kernel(matrix):
@@ -124,3 +136,88 @@ def reference_spin_closure(seeds, matrices, base, ncols):
                 lattice = reference_hnf(list(lattice) + [img], ncols)
                 queue.append(img)
     return lattice
+
+
+def reference_smith_invariants(rows, ambient_rank):
+    work = [list(r) for r in rows]
+    m, n = len(work), ambient_rank
+    diag = []
+    t = 0
+    while t < min(m, n):
+        # locate the smallest nonzero entry in the trailing submatrix
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = work[i][j]
+                if x and (best is None or abs(x) < abs(work[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        work[t], work[bi] = work[bi], work[t]
+        if bj != t:
+            for row in work:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            # clear column t
+            dirty = False
+            p = work[t][t]
+            for i in range(t + 1, m):
+                if work[i][t]:
+                    q = work[i][t] // p
+                    if q:
+                        wi, wt = work[i], work[t]
+                        for j in range(t, n):
+                            wi[j] -= q * wt[j]
+                    if work[i][t]:
+                        dirty = True
+            if dirty:
+                best = min(
+                    (i for i in range(t, m) if work[i][t]),
+                    key=lambda i: abs(work[i][t]),
+                )
+                work[t], work[best] = work[best], work[t]
+                continue
+            # clear row t
+            dirty = False
+            p = work[t][t]
+            for j in range(t + 1, n):
+                if work[t][j]:
+                    q = work[t][j] // p
+                    if q:
+                        for row in work:
+                            row[j] -= q * row[t]
+                    if work[t][j]:
+                        dirty = True
+            if dirty:
+                jbest = min(
+                    (j for j in range(t, n) if work[t][j]),
+                    key=lambda j: abs(work[t][j]),
+                )
+                for row in work:
+                    row[t], row[jbest] = row[jbest], row[t]
+                continue
+            # divisibility sweep: the pivot must divide the rest
+            p = abs(work[t][t])
+            culprit = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if work[i][j] % p:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            wi, wt = work[culprit], work[t]
+            for j in range(t, n):
+                wt[j] += wi[j]
+        diag.append(abs(work[t][t]))
+        t += 1
+    return AbelianInvariants(ambient_rank - len(diag), tuple(d for d in diag if d > 1))
+
+
+def reference_subgroup_invariants(gens, relations, ncols):
+    total = reference_hnf(list(gens) + list(relations), ncols)
+    coeff_rows = [reference_coefficients(total, r) for r in relations]
+    return reference_smith_invariants(coeff_rows, len(total))

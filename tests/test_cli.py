@@ -206,6 +206,17 @@ def test_deeply_nested_word_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("exponent", ["1000000000000000000", "100000000000000000000"])
+def test_huge_exponent_is_a_parse_error(tmp_path, capsys, exponent):
+    path = tmp_path / "huge.lp"
+    path.write_text("group huge {\n  generators: a, b;\n  fixed: (b^a)^%s;\n}\n" % exponent)
+    code, _, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert code == 1
+    assert "error:" in err
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit(capsys):
     code, _, _ = run(capsys, "adjust", "--file", "/nonexistent/path.lp")
     assert code == 1

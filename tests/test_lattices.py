@@ -7,7 +7,9 @@ import pytest
 from echelon_oracle import (
     reference_hnf,
     reference_left_kernel,
+    reference_smith_invariants,
     reference_spin_closure,
+    reference_subgroup_invariants,
 )
 
 from lpres.lattices import (
@@ -121,11 +123,17 @@ def oracle_input(rng):
 
 def test_lattice_functions_match_the_reference_echelon():
     rng = random.Random(2011)
+    gens_rng = random.Random(2013)
     for _ in range(2000):
         rows, n = oracle_input(rng)
         assert hnf(rows, n).rows == reference_hnf(rows, n)
         if rows:
             assert left_kernel(rows) == reference_left_kernel(rows)
+        assert smith_invariants(rows, n) == reference_smith_invariants(rows, n)
+        bound = gens_rng.choice([1, 3, 10**6])
+        gens = random_rows(gens_rng, gens_rng.randint(0, 5), n, bound, gens_rng.choice([1.0, 0.3]))
+        got = subgroup_invariants(gens, rows, n)
+        assert got == reference_subgroup_invariants(gens, rows, n)
         if n <= 5:
             mats = [random_rows(rng, n, n, 2) for _ in range(rng.randint(0, 2))]
             seeds, base = rows[:2], rows[2:4]
@@ -243,6 +251,10 @@ def test_smith_known_values():
     assert smith_invariants([], 3) == AbelianInvariants(3, ())
     # full-rank: torsion order equals |det|
     assert smith_invariants([[2, 1], [0, 6]], 2).order() == 12
+    # needs two rounds of row and column HNF to become diagonal
+    assert smith_invariants([[2, 1, 1], [0, 2, 0], [0, 0, 3]], 3) == AbelianInvariants(0, (12,))
+    with pytest.raises(ValueError):
+        smith_invariants([[1, 2]], 3)
 
 
 def test_smith_chain_divides_and_unimodular_invariance():
@@ -272,6 +284,11 @@ def test_subgroup_invariants():
     # trivial subgroup
     inv = subgroup_invariants([], [[2, 0]], 2)
     assert inv.is_trivial()
+    # rows of the wrong length, uniform or ragged
+    with pytest.raises(ValueError):
+        subgroup_invariants([[1, 0, 0]], [[2, 0, 0]], 2)
+    with pytest.raises(ValueError):
+        subgroup_invariants([[1, 0]], [[2, 0, 0]], 2)
 
 
 def test_spin_closure_swap():
