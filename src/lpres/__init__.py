@@ -12,7 +12,7 @@ from .lattices import (
     spin_closure,
     subgroup_invariants,
 )
-from .multiplier import DwyerStep, dwyer_quotient, dwyer_range
+from .multiplier import DwyerStep, dwyer_range
 from .pcgroups import PcPresentation
 from .presentations import (
     AdjustedLPresentation,
@@ -51,7 +51,6 @@ __all__ = [
     "build_cover",
     "catalog_names",
     "commutator",
-    "dwyer_quotient",
     "dwyer_range",
     "hnf",
     "impose_relators",

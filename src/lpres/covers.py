@@ -94,28 +94,20 @@ def lift_through_definitions(
     for g in range(pc.ngens):
         d = pc.definitions[g]
         if d[0] == "free":
-            res = pc.eval_word(images, endo.images[d[1]])
-        elif d[0] == "freetail":
-            s = d[1]
-            base = images[s]
-            _assert_defining(base, g)
-            omega = sorted((h, e) for h, e in base.items() if h != g)
-            res = pc.mul(pc.inv(pc.substitute(ims, omega)), pc.eval_word(images, endo.images[s]))
+            ims.append(pc.eval_word(images, endo.images[d[1]]))
+            continue
+        # each definition reads prefix * g = value, with prefix the tail minus g
+        if d[0] == "freetail":
+            tail, value = images[d[1]], pc.eval_word(images, endo.images[d[1]])
         elif d[0] == "conj":
-            i, j = d[1], d[2]
-            tail = pc.conj[(i, j)]
-            _assert_defining(tail, g)
-            prefix = sorted((h, e) for h, e in tail.items() if h != g)
-            res = pc.mul(pc.inv(pc.substitute(ims, prefix)), pc.comm_nf(ims[j], ims[i]))
+            tail, value = pc.conj[(d[1], d[2])], pc.comm_nf(ims[d[2]], ims[d[1]])
         elif d[0] == "pow":
-            i = d[1]
-            tail = pc.power_tails.get(i, {})
-            _assert_defining(tail, g)
-            prefix = sorted((h, e) for h, e in tail.items() if h != g)
-            res = pc.mul(pc.inv(pc.substitute(ims, prefix)), pc.pow_nf(ims[i], pc.orders[i]))
+            tail, value = pc.power_tails.get(d[1], {}), pc.pow_nf(ims[d[1]], pc.orders[d[1]])
         else:
             raise AssertionError("unknown definition %r" % (d,))
-        ims.append(res)
+        _assert_defining(tail, g)
+        prefix = sorted((h, e) for h, e in tail.items() if h != g)
+        ims.append(pc.mul(pc.inv(pc.substitute(ims, prefix)), value))
     return ims
 
 
@@ -225,19 +217,7 @@ class Cover:
 
     def torsion_rows(self) -> list[list[int]]:
         """Relation vectors presenting the central section."""
-        m = self.central_dim
-        rows = []
-        for t in range(m):
-            g = self.base_ngens + t
-            o = self.pc.orders[g]
-            if o is None:
-                continue
-            row = [0] * m
-            row[t] = o
-            for l, e in self.pc.power_tails.get(g, {}).items():
-                row[l - self.base_ngens] -= e
-            rows.append(row)
-        return rows
+        return self.pc.relation_rows(self.base_ngens, self.pc.ngens)
 
     def mu_rows(self) -> list[list[int]]:
         """Abelianized images of the central generators in Z^nfree."""

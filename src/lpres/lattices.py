@@ -71,9 +71,6 @@ class HNFBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
 
 def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
     """The sparse row ca*a + cb*b."""

@@ -81,7 +81,3 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
         carried = 0.0
     return steps
 
-
-def dwyer_quotient(pres: LPresentation, nclass: int) -> AbelianInvariants:
-    """Image of the multiplier in M(G/gamma_{nclass+1})."""
-    return dwyer_range(pres, nclass)[-1].invariants

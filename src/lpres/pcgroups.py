@@ -6,7 +6,7 @@ generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
 * weights are non-decreasing in the generator index;
 * for finite relative order o_i there is a power relation
   g_i^{o_i} = tail, with the tail a normal form over generators of
-  index > i (and of strictly larger weight);
+  index > i;
 * for i < j there is a conjugation relation g_j^{g_i} = g_j * tail
   with the tail a normal form over generators of index > j; a missing
   entry means the two generators commute.
@@ -27,6 +27,7 @@ disagreements into relations between the central generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattices import AbelianInvariants, smith_invariants
@@ -120,9 +121,6 @@ class PcPresentation:
     def _conj_central_only(self, i: int, j: int) -> bool:
         tail = self.conj.get((i, j))
         return tail is None or min(tail) >= self._central_bound()
-
-    def gen_nf(self, i: int) -> dict[int, int]:
-        return {i: 1}
 
     def copy(self) -> "PcPresentation":
         twin = PcPresentation(self.nfree)
@@ -300,8 +298,8 @@ class PcPresentation:
             if o is None:
                 continue
             tail = self.power_tails.get(i, {})
-            lhs = self.mul(self.gen_nf(i), tail)
-            rhs = self.mul(tail, self.gen_nf(i))
+            lhs = self.mul({i: 1}, tail)
+            rhs = self.mul(tail, {i: 1})
             yield ("pow", (i,), lhs, rhs)
         # power/conjugation overlaps g_j^(o_j) g_i and g_j g_i^(o_i)
         for i in range(n):
@@ -309,20 +307,14 @@ class PcPresentation:
                 oj = self.orders[j]
                 if oj is not None:
                     tail = self.power_tails.get(j, {})
-                    lhs = self.mul(tail, self.gen_nf(i))
-                    rhs = self.mul(
-                        self.pow_nf(self.gen_nf(j), oj - 1),
-                        self.mul(self.gen_nf(j), self.gen_nf(i)),
-                    )
+                    lhs = self.mul(tail, {i: 1})
+                    rhs = self.mul(self.pow_nf({j: 1}, oj - 1), self.mul({j: 1}, {i: 1}))
                     yield ("pow-conj", (j, i), lhs, rhs)
                 oi = self.orders[i]
                 if oi is not None:
                     tail = self.power_tails.get(i, {})
-                    lhs = self.mul(self.gen_nf(j), tail)
-                    rhs = self.mul(
-                        self.mul(self.gen_nf(j), self.gen_nf(i)),
-                        self.pow_nf(self.gen_nf(i), oi - 1),
-                    )
+                    lhs = self.mul({j: 1}, tail)
+                    rhs = self.mul(self.mul({j: 1}, {i: 1}), self.pow_nf({i: 1}, oi - 1))
                     yield ("conj-pow", (j, i), lhs, rhs)
         # commutator overlaps g_k g_j g_i for k > j > i
         for i in range(n):
@@ -351,12 +343,8 @@ class PcPresentation:
                         and (j, k) not in self.conj
                     ):
                         continue
-                    lhs = self.mul(
-                        self.mul(self.gen_nf(k), self.gen_nf(j)), self.gen_nf(i)
-                    )
-                    rhs = self.mul(
-                        self.gen_nf(k), self.mul(self.gen_nf(j), self.gen_nf(i))
-                    )
+                    lhs = self.mul(self.mul({k: 1}, {j: 1}), {i: 1})
+                    rhs = self.mul({k: 1}, self.mul({j: 1}, {i: 1}))
                     yield ("comm", (k, j, i), lhs, rhs)
 
     def consistency_failures(
@@ -375,27 +363,39 @@ class PcPresentation:
 
     # ------------------------------------------------------------ invariants
 
-    def layer_generators(self, weight: int) -> list[int]:
-        return [g for g in range(self.ngens) if self.weights[g] == weight]
+    def relation_rows(self, lo: int, hi: int) -> list[list[int]]:
+        """Power relations of the generators in [lo, hi), as rows over them.
+
+        The row of g_i is o_i at its own column minus the exponents of
+        its power tail; tail entries at or above hi are left out.
+        """
+        rows = []
+        for g in range(lo, hi):
+            o = self.orders[g]
+            if o is None:
+                continue
+            row = [0] * (hi - lo)
+            row[g - lo] = o
+            for l, e in self.power_tails.get(g, {}).items():
+                if l < hi:
+                    row[l - lo] -= e
+            rows.append(row)
+        return rows
 
     def lcs_factors(self) -> list[AbelianInvariants]:
         """Invariants of the lower central series layers, weight 1 upward.
 
-        Power tails of a weight-w generator only touch deeper
-        generators, so each layer is the direct sum of cyclic groups
-        given by the relative orders in that weight block.
+        The weight-w generators form one block, as weights never
+        decrease, and the layer is presented by the block's power
+        relations.  A power tail counts inside its own block: the
+        relations imposed on a central block can give a generator a
+        tail among the generators of its own weight.  Tail entries in
+        deeper blocks are zero in the layer.
         """
         out = []
         for w in range(1, self.nclass + 1):
-            gens = self.layer_generators(w)
-            rows = []
-            for pos, g in enumerate(gens):
-                o = self.orders[g]
-                if o is not None:
-                    row = [0] * len(gens)
-                    row[pos] = o
-                    rows.append(row)
-            out.append(smith_invariants(rows, len(gens)))
+            lo, hi = bisect_left(self.weights, w), bisect_right(self.weights, w)
+            out.append(smith_invariants(self.relation_rows(lo, hi), hi - lo))
         return out
 
     def abelian_invariants(self) -> AbelianInvariants:

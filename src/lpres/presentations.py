@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .lattices import AbelianInvariants, smith_invariants, xgcd
 from .words import Alphabet, FreeEndomorphism, Word, commutator
@@ -74,49 +74,6 @@ class LPresentation:
     @property
     def maps(self) -> tuple[FreeEndomorphism, ...]:
         return tuple(endo for _, endo in self.endomorphisms)
-
-    def endomorphism(self, name: str) -> FreeEndomorphism:
-        for nm, endo in self.endomorphisms:
-            if nm == name:
-                return endo
-        raise ValueError("no endomorphism named %r" % name)
-
-    def matrices(self) -> list[list[list[int]]]:
-        """Abelianized matrices of the endomorphisms, in declaration order."""
-        return [endo.matrix() for endo in self.maps]
-
-    def spun_relators(self, depth: int) -> tuple[Word, ...]:
-        """Q together with phi(r) for every monoid word phi of length <= depth."""
-        out = list(self.fixed)
-        for endo in enumerate_monoid(self.maps, depth):
-            out.extend(endo(r) for r in self.iterated)
-        return tuple(out)
-
-
-def enumerate_monoid(
-    maps: Sequence[FreeEndomorphism], depth: int, alphabet: Optional[Alphabet] = None
-) -> list[FreeEndomorphism]:
-    """All compositions of the maps with length <= depth, breadth first.
-
-    Strings are enumerated by length and then lexicographically by
-    index; the empty string is the identity.  Duplicate maps are not
-    detected, so the result has (k^(depth+1)-1)/(k-1) entries for k
-    maps (depth+1 entries for one map, just the identity for none).
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if alphabet is None:
-        if not maps:
-            raise ValueError("alphabet is required when there are no maps")
-        alphabet = maps[0].alphabet
-    frontier = [FreeEndomorphism.identity(alphabet)]
-    out = list(frontier)
-    for _ in range(depth):
-        frontier = [prev.compose(step) for prev in frontier for step in maps]
-        out.extend(frontier)
-        if not frontier:
-            break
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +191,11 @@ class _Parser:
         if tok.kind != "int":
             self.fail("expected an integer")
         self.advance()
-        value = int(tok.value)
+        try:
+            value = int(tok.value)
+        except ValueError:
+            # more digits than the interpreter converts
+            self.fail("integer literal too long", tok)
         return -value if negative else value
 
     def parse_atom(self, alphabet: Alphabet) -> Word:

@@ -8,7 +8,7 @@ so iterated endomorphism images never overflow.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class Alphabet:
@@ -37,9 +37,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.names == other.names
@@ -90,10 +87,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
-
-    def __len__(self) -> int:
-        """Word length counted in letters, not syllables."""
-        return sum(abs(e) for _, e in self.syllables)
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
@@ -164,15 +157,6 @@ class FreeEndomorphism:
         self.alphabet = alphabet
         self.images = images
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "FreeEndomorphism":
-        return cls(alphabet, tuple(Word(alphabet, ((g, 1),)) for g in range(len(alphabet))))
-
-    def is_identity(self) -> bool:
-        return all(
-            w.syllables == ((g, 1),) for g, w in enumerate(self.images)
-        )
-
     def __call__(self, word: Word) -> Word:
         if word.alphabet != self.alphabet:
             raise ValueError("word over a different alphabet")
@@ -181,16 +165,6 @@ class FreeEndomorphism:
             img = self.images[g] if e > 0 else self.images[g].inverse()
             runs.extend(img.syllables * abs(e))
         return Word(self.alphabet, runs)
-
-    def compose(self, other: "FreeEndomorphism") -> "FreeEndomorphism":
-        """Left-to-right composition: w^(self.compose(other)) = (w^self)^other.
-
-        The monoid of endomorphisms acts on the right of words, so the
-        product phi*psi applies phi first and psi second.
-        """
-        if other.alphabet != self.alphabet:
-            raise ValueError("endomorphisms over different alphabets")
-        return FreeEndomorphism(self.alphabet, tuple(other(w) for w in self.images))
 
     def matrix(self) -> list[list[int]]:
         """Induced matrix on the abelianization; row g is images[g]'s exponent vector."""

@@ -106,6 +106,22 @@ def test_nq_reports_stabilization(tmp_path, capsys):
     assert "order 4" in out
 
 
+@pytest.mark.parametrize(
+    "fixed, layer",
+    [
+        ("a^2*b^-1", "c=1: layer Z, order infinite"),
+        ("a^4*b^-2, b^4", "c=1: layer Z_2 x Z_8, order 16"),
+    ],
+    ids=["infinite-cyclic", "Z_2xZ_8"],
+)
+def test_nq_layer_counts_power_tails(tmp_path, capsys, fixed, layer):
+    path = tmp_path / "tails.lp"
+    path.write_text("group t {\n  generators: a, b;\n  fixed: %s;\n}\n" % fixed)
+    code, out, _ = run(capsys, "nq", "--file", str(path), "--max-class", "3")
+    assert code == 0
+    assert out.splitlines()[0] == layer
+
+
 def test_adjust_output_reparses(capsys):
     code, out, _ = run(capsys, "adjust", "--group", "grigorchuk")
     assert code == 0
@@ -206,7 +222,15 @@ def test_deeply_nested_word_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("exponent", ["1000000000000000000", "100000000000000000000"])
+@pytest.mark.parametrize(
+    "exponent",
+    [
+        "1000000000000000000",
+        "100000000000000000000",
+        # more digits than int() converts by default
+        pytest.param("9" * 5000, id="5000-digits"),
+    ],
+)
 def test_huge_exponent_is_a_parse_error(tmp_path, capsys, exponent):
     path = tmp_path / "huge.lp"
     path.write_text("group huge {\n  generators: a, b;\n  fixed: (b^a)^%s;\n}\n" % exponent)
@@ -215,6 +239,7 @@ def test_huge_exponent_is_a_parse_error(tmp_path, capsys, exponent):
     assert "error:" in err
     assert "line 3" in err
     assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_missing_file_exit(capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from relator_oracle import spun_relators
 
 from lpres.covers import build_cover, impose_relators, trivial_system
 from lpres.lattices import AbelianInvariants, smith_invariants
@@ -202,7 +203,7 @@ def test_imposing_matches_abelianization():
         pres = load_catalog(name)
         sys1 = tower(pres, 1)
         assert sys1.nclass <= 1
-        spun = pres.spun_relators(8)
+        spun = spun_relators(pres, 8)
         vectors = [w.exponent_vector() for w in spun]
         from lpres.lattices import smith_invariants
 

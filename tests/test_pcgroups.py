@@ -65,7 +65,7 @@ def test_tail_validation():
 
 def test_dihedral_collection():
     pc = dihedral8()
-    s, r = pc.gen_nf(0), pc.gen_nf(1)
+    s, r = {0: 1}, {1: 1}
     # r*s collects to s*r*g3
     assert pc.mul(r, s) == {0: 1, 1: 1, 2: 1}
     # (s*r)^2 = 1
@@ -104,7 +104,7 @@ def test_dihedral_is_consistent_and_counts():
 
 def test_heisenberg_commutator_convention():
     pc = heisenberg()
-    x, y, z = pc.gen_nf(0), pc.gen_nf(1), pc.gen_nf(2)
+    x, y, z = {0: 1}, {1: 1}, {2: 1}
     # stored conjugation relation means [y, x] = z
     assert pc.comm_nf(y, x) == z
     assert pc.comm_nf(x, y) == pc.inv(z)
@@ -149,7 +149,7 @@ def test_central_merge_cascades():
     pc.set_power_tail(1, {2: 1})
     pc.central_start = 1
     # g2^2 = g3, g3^2 = 1, so g2^4 = 1 and g2^3 = g2*g3
-    g2 = pc.gen_nf(1)
+    g2 = {1: 1}
     assert pc.pow_nf(g2, 2) == {2: 1}
     assert pc.pow_nf(g2, 3) == {1: 1, 2: 1}
     assert pc.pow_nf(g2, 4) == {}
@@ -174,11 +174,11 @@ def test_eval_word():
     pc = heisenberg()
     alph = Alphabet(["u", "v"])
     word = Word(alph, ((0, 1), (1, 1), (0, -1), (1, -1)))  # u v u^-1 v^-1 = [u^-1, v^-1]
-    images = [pc.gen_nf(0), pc.gen_nf(1)]
+    images = [{0: 1}, {1: 1}]
     # x y x^-1 y^-1 = [y, x]^{-1} conjugated; direct collection:
     expected = pc.mul(
-        pc.mul(pc.gen_nf(0), pc.gen_nf(1)),
-        pc.mul(pc.inv(pc.gen_nf(0)), pc.inv(pc.gen_nf(1))),
+        pc.mul({0: 1}, {1: 1}),
+        pc.mul(pc.inv({0: 1}), pc.inv({1: 1})),
     )
     assert pc.eval_word(images, word) == expected
     assert pc.eval_word(images, Word.identity(alph)) == {}

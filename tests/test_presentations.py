@@ -1,6 +1,7 @@
 """Presentation parsing, serialization, the catalog, and adjustment."""
 
 import pytest
+from relator_oracle import spun_relators
 
 from lpres.lattices import AbelianInvariants, hnf
 from lpres.presentations import (
@@ -8,13 +9,12 @@ from lpres.presentations import (
     ParseError,
     adjust,
     catalog_names,
-    enumerate_monoid,
     load_catalog,
     parse,
     parse_one,
     serialize,
 )
-from lpres.words import Alphabet, FreeEndomorphism, Word, commutator
+from lpres.words import Word, commutator
 
 
 def W(alphabet, text_gens):
@@ -44,7 +44,7 @@ def test_parse_simple_group():
     assert pres.fixed == (Word(pres.alphabet, ((0, 2),)),)
     assert pres.iterated == (commutator(pres.alphabet.word("x"), pres.alphabet.word("y")),)
     assert not pres.invariant  # fixed nonempty, no declaration
-    phi = pres.endomorphism("phi")
+    phi = dict(pres.endomorphisms)["phi"]
     assert phi(pres.alphabet.word("x")) == pres.alphabet.word("y")
 
 
@@ -145,14 +145,14 @@ def test_catalog_contents():
     assert len(grig.iterated) == 2
     assert grig.invariant
     a, b, c, d = (grig.alphabet.word(x) for x in "abcd")
-    sigma = grig.endomorphism("sigma")
+    sigma = dict(grig.endomorphisms)["sigma"]
     assert sigma(a) == c.conjugate(a)
     assert sigma(b) == d
     tt = load_catalog("twisted_twin")
     assert len(tt.iterated) == 5
     assert tt.iterated[2] == tt.iterated[3]  # kept verbatim
     bsv = load_catalog("bsv")
-    eps = bsv.endomorphism("epsilon")
+    eps = dict(bsv.endomorphisms)["epsilon"]
     x, y = bsv.alphabet.word("a"), bsv.alphabet.word("b")
     assert eps(x) == x**2
     assert eps(y) == x**2 * y**-1 * x**2
@@ -164,42 +164,31 @@ def test_load_catalog_is_cached():
     assert load_catalog("basilica") is load_catalog("basilica")
 
 
-# ------------------------------------------------------------- monoid
-
-
-def test_enumerate_monoid_counts():
-    alph = Alphabet(["x", "y"])
-    x, y = alph.word("x"), alph.word("y")
-    f = FreeEndomorphism(alph, [y, x])
-    g = FreeEndomorphism(alph, [x * y, y])
-    assert len(enumerate_monoid([f, g], 2)) == 7
-    assert len(enumerate_monoid([f], 3)) == 4
-    assert len(enumerate_monoid([], 5, alphabet=alph)) == 1
-    assert enumerate_monoid([f, g], 0) == [FreeEndomorphism.identity(alph)]
-
-
-def test_enumerate_monoid_order_and_semantics():
-    alph = Alphabet(["x", "y"])
-    x, y = alph.word("x"), alph.word("y")
-    f = FreeEndomorphism(alph, [y, x])          # swap
-    g = FreeEndomorphism(alph, [x * x, y])      # double x
-    monoid = enumerate_monoid([f, g], 2)
-    # breadth first: id, f, g, ff, fg, gf, gg
-    assert monoid[0].is_identity()
-    assert monoid[1] == f and monoid[2] == g
-    # string (f, g) applies f first: x -> y -> y
-    assert monoid[4](x) == y
-    # string (g, f) applies g first: x -> x^2 -> y^2
-    assert monoid[5](x) == y * y
+# ------------------------------------------------------------- spun relators
 
 
 def test_spun_relators():
     pres = load_catalog("basilica")
-    rels = pres.spun_relators(2)
+    rels = spun_relators(pres, 2)
     a, b = pres.alphabet.word("a"), pres.alphabet.word("b")
-    sigma = pres.endomorphism("sigma")
+    sigma = dict(pres.endomorphisms)["sigma"]
     r = commutator(a, a.conjugate(b))
     assert rels == (r, sigma(r), sigma(sigma(r)))
+    # two maps: breadth first, and the first map of a composition acts first
+    pres = parse_one(
+        """
+        group demo {
+          generators: x, y;
+          fixed: y^3;
+          endomorphism f: x -> y, y -> x;
+          endomorphism g: x -> x^2, y -> y;
+          iterated: x;
+        }
+        """
+    )
+    x, y = pres.alphabet.word("x"), pres.alphabet.word("y")
+    assert spun_relators(pres, 0) == (y**3, x)
+    assert spun_relators(pres, 2) == (y**3, x, y, x**2, x, y, y**2, x**4)
 
 
 # ------------------------------------------------------------- adjustment
@@ -243,7 +232,7 @@ def test_adjust_basis_matches_spun_lattice():
         pres = load_catalog(name)
         adj = adjust(pres)
         n = len(pres.alphabet)
-        spun = [list(w.exponent_vector()) for w in pres.spun_relators(6)]
+        spun = [list(w.exponent_vector()) for w in spun_relators(pres, 6)]
         reference = hnf(spun, n)
         assert adj.basis_vectors == reference.rows
 

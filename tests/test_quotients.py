@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from relator_oracle import spun_relators
 
 from lpres.lattices import AbelianInvariants
 from lpres.presentations import load_catalog, parse_one
@@ -71,6 +72,22 @@ def test_abelian_quotients_of_catalog():
         assert nilpotent_quotient(pres, 1).abelian_invariants() == inv
 
 
+def test_class_one_quotient_matches_abelianization_random():
+    """Power tails inside the weight-1 block must count in the layer."""
+    rng = random.Random(20261018)
+    for _ in range(200):
+        names = "abc"[: rng.randrange(2, 4)]
+        fixed = ", ".join(
+            "*".join(
+                "%s^%d" % (rng.choice(names), rng.randint(-6, 6))
+                for _ in range(rng.randrange(1, 5))
+            )
+            for _ in range(rng.randrange(1, 4))
+        )
+        pres = parse_one("group r { generators: %s; fixed: %s; }" % (", ".join(names), fixed))
+        assert nilpotent_quotient(pres, 1).abelian_invariants() == abelian_quotient(pres), fixed
+
+
 def test_class_one_images_generate():
     pres = load_catalog("grigorchuk")
     system = nilpotent_quotient(pres, 1)
@@ -103,14 +120,14 @@ def test_relators_die_in_quotients():
     for name in ["grigorchuk", "twisted_twin", "basilica", "bsv"]:
         pres = load_catalog(name)
         system = nilpotent_quotient(pres, 3)
-        for w in pres.spun_relators(4):
+        for w in spun_relators(pres, 4):
             assert system.pc.eval_word(system.images, w) == {}
 
 
 def test_induced_endomorphism_validates():
     pres = load_catalog("grigorchuk")
     system = nilpotent_quotient(pres, 3)
-    sigma = pres.endomorphism("sigma")
+    sigma = dict(pres.endomorphisms)["sigma"]
     ims = induce_endomorphism(system, sigma, validate=True)
     assert len(ims) == system.pc.ngens
     # the induced map tracks the free-level endomorphism on every word
@@ -145,7 +162,7 @@ def test_induced_endomorphism_rejects_non_invariant():
     pres = parse_one(src)
     system = nilpotent_quotient(pres, 1)
     with pytest.raises(ValueError, match="ill-defined image"):
-        induce_endomorphism(system, pres.endomorphism("sigma"))
+        induce_endomorphism(system, dict(pres.endomorphisms)["sigma"])
     # the tower itself needs the induced maps to spin relators, so it
     # surfaces the same defect when asked to go deeper
     with pytest.raises(ValueError, match="ill-defined image"):
