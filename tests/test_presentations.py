@@ -174,18 +174,36 @@ def test_spun_relators():
     sigma = dict(pres.endomorphisms)["sigma"]
     r = commutator(a, a.conjugate(b))
     assert rels == (r, sigma(r), sigma(sigma(r)))
-    # two maps: breadth first, and the first map of a composition acts first
-    pres = parse_one(
-        """
-        group demo {
-          generators: x, y;
-          fixed: y^3;
-          endomorphism f: x -> y, y -> x;
-          endomorphism g: x -> x^2, y -> y;
-          iterated: x;
-        }
-        """
+
+
+def _demo(maps):
+    """x, y with fixed y^3, iterated x, and the named maps of f (swap), g (x -> x^2)."""
+    lines = {
+        "f": "endomorphism f: x -> y, y -> x;",
+        "g": "endomorphism g: x -> x^2, y -> y;",
+    }
+    body = "\n".join(lines[m] for m in maps)
+    return parse_one(
+        "group demo { generators: x, y; fixed: y^3; %s iterated: x; }" % body
     )
+
+
+def test_enumerate_monoid_counts():
+    # k maps give (k^(depth+1)-1)/(k-1) copies of the iterated relators
+    def copies(pres, depth):
+        rels = spun_relators(pres, depth)
+        return (len(rels) - len(pres.fixed)) // len(pres.iterated)
+
+    assert copies(_demo("fg"), 2) == 7
+    assert copies(_demo("f"), 3) == 4
+    assert copies(_demo(""), 5) == 1
+    pres = _demo("fg")
+    assert spun_relators(pres, 0) == pres.fixed + pres.iterated
+
+
+def test_enumerate_monoid_order_and_semantics():
+    # breadth first: id, f, g, ff, fg, gf, gg; the first map acts first
+    pres = _demo("fg")
     x, y = pres.alphabet.word("x"), pres.alphabet.word("y")
     assert spun_relators(pres, 0) == (y**3, x)
     assert spun_relators(pres, 2) == (y**3, x, y, x**2, x, y, y**2, x**4)

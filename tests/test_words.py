@@ -80,8 +80,6 @@ def test_sigma_images(abcd, sigma):
     assert sigma(b) == d
     assert sigma(c) == b
     assert sigma(d) == c
-    # c -> b -> d under two applications
-    assert sigma(sigma(c)) == d
     # sigma(a*d) = a^-1 c a c
     assert sigma(a * d) == a.inverse() * c * a * c
 
@@ -99,6 +97,13 @@ def test_sigma_exponent_vector(abcd, sigma):
     a, b, c, d = (abcd.word(x) for x in "abcd")
     w = sigma(a * b * c * d)
     assert w.exponent_vector() == (0, 1, 2, 1)
+
+
+def test_compose_is_left_to_right(abcd, sigma):
+    b, c, d = (abcd.word(x) for x in "bcd")
+    # c -> b -> d under two applications, letter by letter in order
+    assert sigma(sigma(c)) == d
+    assert sigma(sigma(c * d)) == d * b
 
 
 def test_endomorphism_validates_length(abcd):
