@@ -13,7 +13,12 @@ generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
 
 Normal forms are sparse dicts {generator index: exponent} with the
 exponent of a finite-order generator kept in [0, order).  Products are
-computed by collection from the left.  When central_start is set,
+computed by collection from the left: u * g^e keeps the part of u
+below g and conjugates the part above g by g^e.  That conjugation is
+the e-th power of conjugation by g, applied by binary powering from
+the cached images of the generators under conjugation by g^(+-2^k),
+so it takes about log2|e| passes, not |e| (Vaughan-Lee, "Collection
+from the left", J. Symbolic Comput. 9, 1990).  When central_start is set,
 generators at index >= central_start form a central block (used while
 extending a quotient by a new layer): they commute with everything and
 their conjugation relations are trivial, which admits a fast merge
@@ -142,9 +147,9 @@ class PcPresentation:
         return out
 
     def mul_gen(self, u: dict[int, int], g: int, e: int) -> dict[int, int]:
-        """Normal form of u * g^e."""
+        """Normal form of u * g^e; u itself may be updated and returned."""
         if e == 0:
-            return dict(u)
+            return u
         cs = self._central_bound()
         if g >= cs:
             return self._central_merge(u, {g: e})
@@ -158,11 +163,7 @@ class PcPresentation:
                 mid[k] = v
             elif k >= cs:
                 central[k] = v
-        old = u.get(g, 0)
-        sign = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            mid = self._conj_nf(mid, g, sign)
-        total = old + e
+        total = u.get(g, 0) + e
         o = self.orders[g]
         carry = 0
         if o is not None:
@@ -174,37 +175,34 @@ class PcPresentation:
             tail = self.power_tails.get(g, {})
             res = self.mul(res, self.pow_nf(tail, carry))
         if mid:
-            res = self.mul(res, mid)
+            res = self.mul(res, self._conj_nf(mid, g, e))
         if central:
             res = self._central_merge(res, central)
         return res
 
-    def _central_merge(self, u: dict[int, int], add: dict[int, int]) -> dict[int, int]:
-        """Merge exponents of central generators, cascading power tails.
+    def _central_merge(self, out: dict[int, int], add: dict[int, int]) -> dict[int, int]:
+        """Add exponents of central generators into out, in place.
 
         Central generators commute with everything and their power
-        tails stay inside the central block, so the merge is iterative
-        (smallest index first) rather than recursive.
+        tails stay inside the central block above their own index, so
+        each round merges its entries in index order and passes the
+        carries of power tails on to the next round.
         """
-        out = dict(u)
-        pending = dict(add)
-        while pending:
-            t = min(pending)
-            e = pending.pop(t)
-            if not e:
-                continue
-            total = out.get(t, 0) + e
-            o = self.orders[t]
-            carry = 0
-            if o is not None:
-                carry, total = divmod(total, o)
-            if total:
-                out[t] = total
-            else:
-                out.pop(t, None)
-            if carry:
-                for h, f in self.power_tails.get(t, {}).items():
-                    pending[h] = pending.get(h, 0) + carry * f
+        while add:
+            carries: dict[int, int] = {}
+            for t in sorted(add):
+                total = out.get(t, 0) + add[t]
+                o = self.orders[t]
+                if o is not None:
+                    carry, total = divmod(total, o)
+                    if carry:
+                        for h, f in self.power_tails.get(t, {}).items():
+                            carries[h] = carries.get(h, 0) + carry * f
+                if total:
+                    out[t] = total
+                else:
+                    out.pop(t, None)
+            add = carries
         return out
 
     def inv(self, u: dict[int, int]) -> dict[int, int]:
@@ -233,31 +231,51 @@ class PcPresentation:
         """Normal form of the commutator u^-1 * v^-1 * u * v."""
         return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
 
-    def conj_gen_nf(self, g: int, sign: int, j: int) -> dict[int, int]:
-        """Normal form of g_j conjugated by g_g^sign, for j > g."""
-        key = (g, sign, j)
+    def conj_gen_nf(self, g: int, s: int, j: int) -> dict[int, int]:
+        """Normal form of g_j conjugated by g_g^s, for j > g and s = +-2^k.
+
+        Level k is level k - 1 applied to level k - 1's image; every
+        level is cached until a tail changes.
+        """
+        key = (g, s, j)
         cached = self._conj_cache.get(key)
         if cached is not None:
             return cached
         tail = self.conj.get((g, j))
         if not tail:
             res = {j: 1}
-        elif sign > 0:
+        elif s == 1:
             res = {j: 1}
             res.update(tail)
-        else:
+        elif s == -1:
             # from g_j^{g} = g_j * t:  g_j^{g^-1} = g_j * (t^{g^-1})^-1
-            t_conj = self._conj_nf(tail, g, -1)
-            res = self.mul({j: 1}, self.inv(t_conj))
+            res = self.mul({j: 1}, self.inv(self._conj_nf(tail, g, -1)))
+        else:
+            half = s // 2
+            res = self._conj_nf(self.conj_gen_nf(g, half, j), g, half)
         self._conj_cache[key] = res
         return res
 
-    def _conj_nf(self, nf: dict[int, int], g: int, sign: int) -> dict[int, int]:
-        """Conjugate a normal form over generators > g by g_g^sign."""
-        out: dict[int, int] = {}
-        for j in sorted(nf):
-            out = self.mul(out, self.pow_nf(self.conj_gen_nf(g, sign, j), nf[j]))
-        return out
+    def _conj_nf(self, nf: dict[int, int], g: int, e: int) -> dict[int, int]:
+        """Conjugate a normal form over generators > g by g_g^e.
+
+        Conjugation by g_g^e is the e-th power of conjugation by g_g, so
+        it is applied by binary powering: one pass per set bit of
+        abs(e), the pass for bit k mapping each g_j to its conjugate by
+        g_g^(+-2^k).
+        """
+        s = 1 if e > 0 else -1
+        e = abs(e)
+        while True:
+            if e & 1:
+                out: dict[int, int] = {}
+                for j in sorted(nf):
+                    out = self.mul(out, self.pow_nf(self.conj_gen_nf(g, s, j), nf[j]))
+                nf = out
+            e >>= 1
+            if not e:
+                return nf
+            s *= 2
 
     def substitute(
         self, images: Sequence[dict[int, int]], syllables: Iterable[tuple[int, int]]

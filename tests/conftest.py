@@ -7,6 +7,18 @@ import pytest
 from lpres.multiplier import dwyer_range
 from lpres.presentations import load_catalog
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # the same examples on every run, a bounded number of them, no
+    # per-example deadline and no example database on disk
+    settings.register_profile(
+        "tier1", derandomize=True, max_examples=25, deadline=None, database=None
+    )
+    settings.load_profile("tier1")
+
 ACCEPTANCE_CLASSES = {
     "grigorchuk": 11,
     "twisted_twin": 7,

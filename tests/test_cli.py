@@ -242,6 +242,16 @@ def test_huge_exponent_is_a_parse_error(tmp_path, capsys, exponent):
     assert "set_int_max_str_digits" not in err
 
 
+def test_million_exponent_reaches_class_four(tmp_path, capsys):
+    # collection conjugates by a^e in about log2(e) passes, not e of them
+    path = tmp_path / "million.lp"
+    path.write_text("group g {\n  generators: a, b;\n  invariant: true;\n  fixed: (b^a)^1000000;\n}\n")
+    code, out, err = run(capsys, "nq", "--file", str(path), "--max-class", "4")
+    assert code == 0
+    assert out.splitlines()[3] == "c=4: layer (Z_1000000)^3, order infinite"
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit(capsys):
     code, _, _ = run(capsys, "adjust", "--file", "/nonexistent/path.lp")
     assert code == 1
