@@ -234,26 +234,36 @@ class PcPresentation:
     def conj_gen_nf(self, g: int, s: int, j: int) -> dict[int, int]:
         """Normal form of g_j conjugated by g_g^s, for j > g and s = +-2^k.
 
-        Level k is level k - 1 applied to level k - 1's image; every
-        level is cached until a tail changes.
+        Level k is level k - 1 applied to level k - 1's image.  The
+        levels are built in a loop from the highest one cached, so a
+        cold level costs no stack depth, and every level is cached
+        until a tail changes.
         """
-        key = (g, s, j)
-        cached = self._conj_cache.get(key)
+        cache = self._conj_cache
+        cached = cache.get((g, s, j))
         if cached is not None:
             return cached
         tail = self.conj.get((g, j))
         if not tail:
-            res = {j: 1}
-        elif s == 1:
-            res = {j: 1}
-            res.update(tail)
-        elif s == -1:
-            # from g_j^{g} = g_j * t:  g_j^{g^-1} = g_j * (t^{g^-1})^-1
-            res = self.mul({j: 1}, self.inv(self._conj_nf(tail, g, -1)))
-        else:
-            half = s // 2
-            res = self._conj_nf(self.conj_gen_nf(g, half, j), g, half)
-        self._conj_cache[key] = res
+            res = cache[(g, s, j)] = {j: 1}
+            return res
+        unit = 1 if s > 0 else -1
+        level, res = s, None
+        while res is None and level != unit:
+            level //= 2
+            res = cache.get((g, level, j))
+        if res is None:
+            if unit == 1:
+                res = {j: 1}
+                res.update(tail)
+            else:
+                # from g_j^{g} = g_j * t:  g_j^{g^-1} = g_j * (t^{g^-1})^-1
+                res = self.mul({j: 1}, self.inv(self._conj_nf(tail, g, -1)))
+            cache[(g, unit, j)] = res
+        while level != s:
+            res = self._conj_nf(res, g, level)
+            level *= 2
+            cache[(g, level, j)] = res
         return res
 
     def _conj_nf(self, nf: dict[int, int], g: int, e: int) -> dict[int, int]:
@@ -264,18 +274,22 @@ class PcPresentation:
         abs(e), the pass for bit k mapping each g_j to its conjugate by
         g_g^(+-2^k).
         """
-        s = 1 if e > 0 else -1
+        sign = 1 if e > 0 else -1
         e = abs(e)
-        while True:
-            if e & 1:
-                out: dict[int, int] = {}
-                for j in sorted(nf):
-                    out = self.mul(out, self.pow_nf(self.conj_gen_nf(g, s, j), nf[j]))
-                nf = out
-            e >>= 1
-            if not e:
-                return nf
-            s *= 2
+        while e:
+            bit = e & -e
+            e ^= bit
+            s = sign * bit
+            out: dict[int, int] = {}
+            for j in sorted(nf):
+                image = self.conj_gen_nf(g, s, j)
+                if len(image) == 1:
+                    # g_j commutes with g_g^s, so its power is g_j^nf[j]
+                    out = self.mul_gen(out, j, nf[j])
+                else:
+                    out = self.mul(out, self.pow_nf(image, nf[j]))
+            nf = out
+        return nf
 
     def substitute(
         self, images: Sequence[dict[int, int]], syllables: Iterable[tuple[int, int]]

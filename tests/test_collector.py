@@ -106,3 +106,15 @@ def test_powered_conjugation_equals_repeated_conjugation(case):
             for _ in range(abs(e)):
                 step = pc._conj_nf(step, g, 1 if e > 0 else -1)
             assert pc._conj_nf(nf, g, e) == step, (g, e)
+
+
+def test_cold_high_level_conjugation_needs_no_deep_stack():
+    # conjugation by a^(2^3000) on an empty cache builds 3000 levels;
+    # in the Heisenberg group b^(a^e) = b * c^e with c = [b, a]^+-1
+    pc, _ = collectors(("heisenberg", 2, False))
+    (c, sign), = pc.conj[(0, 1)].items()
+    e = 2**3000
+    pc.clear_caches()
+    assert pc._conj_nf({1: 1}, 0, e) == {1: 1, c: sign * e}
+    pc.clear_caches()
+    assert pc._conj_nf({1: 1}, 0, -e) == {1: 1, c: -sign * e}
