@@ -235,6 +235,11 @@ def _cmd_check(args) -> int:
         start = minimum_class(name)
     except ValueError as exc:
         raise _InputError(str(exc))
+    if args.max_class < start:
+        raise _InputError(
+            "the closed form for %s starts at class %d; --max-class %d compares nothing"
+            % (name, start, args.max_class)
+        )
     steps = dwyer_range(pres, args.max_class)
     results = []
     all_match = True

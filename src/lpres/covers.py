@@ -127,10 +127,10 @@ def _apply_central_rows(pc: PcPresentation, images: list[dict[int, int]], basis:
         d = row[p]
         raw = {cs + l: -row[l] for l in range(p + 1, basis.ncols) if row[l]}
         if d == 1:
-            elim[g] = pc._central_merge({}, raw)
+            elim[g] = pc.mul({}, raw)
         else:
             pc.orders[g] = d
-            pc.set_power_tail(g, pc._central_merge({}, raw))
+            pc.set_power_tail(g, pc.mul({}, raw))
 
     if elim:
 
@@ -141,7 +141,7 @@ def _apply_central_rows(pc: PcPresentation, images: list[dict[int, int]], basis:
             out = {g: e for g, e in nf.items() if g not in elim}
             for g in hits:
                 e = nf[g]
-                out = pc._central_merge(out, {l: e * f for l, f in elim[g].items()})
+                out = pc.mul(out, {l: e * f for l, f in elim[g].items()})
             return out
 
         for i in list(pc.power_tails):

@@ -13,16 +13,18 @@ generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
 
 Normal forms are sparse dicts {generator index: exponent} with the
 exponent of a finite-order generator kept in [0, order).  Products are
-computed by collection from the left: u * g^e keeps the part of u
-below g and conjugates the part above g by g^e.  That conjugation is
-the e-th power of conjugation by g, applied by binary powering from
-the cached images of the generators under conjugation by g^(+-2^k),
-so it takes about log2|e| passes, not |e| (Vaughan-Lee, "Collection
-from the left", J. Symbolic Comput. 9, 1990).  When central_start is set,
-generators at index >= central_start form a central block (used while
-extending a quotient by a new layer): they commute with everything and
-their conjugation relations are trivial, which admits a fast merge
-path; central_start None means no such block is declared.
+computed by collection from the left, in one loop over a stack of
+(generator, exponent) syllables: u * g^e keeps the part of u below g
+and pushes the part above g, conjugated by g^e, back on the stack.
+That conjugation is the e-th power of conjugation by g, applied by
+binary powering from the cached images of the generators under
+conjugation by g^(+-2^k), so it takes about log2|e| passes, not |e|
+(Vaughan-Lee, "Collection from the left", J. Symbolic Comput. 9, 1990).
+When central_start is set, generators at index >= central_start form a
+central block (used while extending a quotient by a new layer): they
+commute with everything and their conjugation relations are trivial,
+so a central syllable only adds to its exponent; central_start None
+means no such block is declared.
 
 Consistency of the relations is checked through the standard overlap
 tests; an inconsistent presentation makes the two collections of an
@@ -141,75 +143,72 @@ class PcPresentation:
     # ------------------------------------------------------------ collection
 
     def mul(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        out = dict(u)
-        for g in sorted(v):
-            out = self.mul_gen(out, g, v[g])
+        return self._collect(dict(u), sorted(v.items(), reverse=True))
+
+    def _collect(self, out: dict[int, int], stack: list[tuple[int, int]]) -> dict[int, int]:
+        """Multiply out, a normal form, by the syllables popped off stack.
+
+        With out = base * g^a * segment * central (base below g, the
+        segment up to the central block), out * g^e is base * g^(a+e) *
+        segment^(g^e) * central.  So the segment is popped off out, and
+        its conjugate, then the power tail of any carry past the order
+        of g, go on the stack to be collected next.  A central g only
+        adds to its exponent and pushes its tail times the carry.
+        """
+        cs = self._central_bound()
+        orders, tails = self.orders, self.power_tails
+        # no generator of out below the central block is above top
+        top = max(out, default=-1)
+        while stack:
+            g, e = stack.pop()
+            if not e:
+                continue
+            segment = None
+            if g < cs:
+                if g < top:
+                    segment = sorted([k for k in out if g < k < cs])
+                    segment = [(k, out.pop(k)) for k in segment]
+                top = g
+            total = out.get(g, 0) + e
+            carry = 0
+            o = orders[g]
+            if o is not None:
+                carry, total = divmod(total, o)
+            if total:
+                out[g] = total
+            else:
+                out.pop(g, None)
+            if segment:
+                if abs(e) & (abs(e) - 1):
+                    stack += sorted(self._conj_nf(dict(segment), g, e).items(), reverse=True)
+                else:
+                    stack += self._conjugate_syllables(g, e, segment)
+            if carry and g in tails:
+                if g < cs and carry != 1:
+                    stack += sorted(self.pow_nf(tails[g], carry).items(), reverse=True)
+                else:
+                    # the tail itself, or a central tail, whose power
+                    # scales its exponents as it commutes
+                    stack += sorted(((h, carry * f) for h, f in tails[g].items()), reverse=True)
         return out
 
-    def mul_gen(self, u: dict[int, int], g: int, e: int) -> dict[int, int]:
-        """Normal form of u * g^e; u itself may be updated and returned."""
-        if e == 0:
-            return u
-        cs = self._central_bound()
-        if g >= cs:
-            return self._central_merge(u, {g: e})
-        base: dict[int, int] = {}
-        mid: dict[int, int] = {}
-        central: dict[int, int] = {}
-        for k, v in u.items():
-            if k < g:
-                base[k] = v
-            elif k < cs and k > g:
-                mid[k] = v
-            elif k >= cs:
-                central[k] = v
-        total = u.get(g, 0) + e
-        o = self.orders[g]
-        carry = 0
-        if o is not None:
-            carry, total = divmod(total, o)
-        res = base
-        if total:
-            res[g] = total
-        if carry:
-            tail = self.power_tails.get(g, {})
-            res = self.mul(res, self.pow_nf(tail, carry))
-        if mid:
-            res = self.mul(res, self._conj_nf(mid, g, e))
-        if central:
-            res = self._central_merge(res, central)
-        return res
-
-    def _central_merge(self, out: dict[int, int], add: dict[int, int]) -> dict[int, int]:
-        """Add exponents of central generators into out, in place.
-
-        Central generators commute with everything and their power
-        tails stay inside the central block above their own index, so
-        each round merges its entries in index order and passes the
-        carries of power tails on to the next round.
-        """
-        while add:
-            carries: dict[int, int] = {}
-            for t in sorted(add):
-                total = out.get(t, 0) + add[t]
-                o = self.orders[t]
-                if o is not None:
-                    carry, total = divmod(total, o)
-                    if carry:
-                        for h, f in self.power_tails.get(t, {}).items():
-                            carries[h] = carries.get(h, 0) + carry * f
-                if total:
-                    out[t] = total
-                else:
-                    out.pop(t, None)
-            add = carries
+    def _conjugate_syllables(
+        self, g: int, s: int, segment: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """Syllables of a sorted segment over generators > g, conjugated by
+        g_g^s for s = +-2^k, in reverse order to be pushed on a stack."""
+        out: list[tuple[int, int]] = []
+        for j, f in reversed(segment):
+            image = self.conj_gen_nf(g, s, j)
+            if len(image) == 1:
+                # g_j commutes with g_g^s, so its power is g_j^f
+                out.append((j, f))
+            else:
+                out += sorted((image if f == 1 else self.pow_nf(image, f)).items(), reverse=True)
         return out
 
     def inv(self, u: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for g in sorted(u, reverse=True):
-            out = self.mul_gen(out, g, -u[g])
-        return out
+        return self._collect({}, [(g, -u[g]) for g in sorted(u)])
 
     def pow_nf(self, u: dict[int, int], k: int) -> dict[int, int]:
         if k == 0 or not u:
@@ -279,16 +278,7 @@ class PcPresentation:
         while e:
             bit = e & -e
             e ^= bit
-            s = sign * bit
-            out: dict[int, int] = {}
-            for j in sorted(nf):
-                image = self.conj_gen_nf(g, s, j)
-                if len(image) == 1:
-                    # g_j commutes with g_g^s, so its power is g_j^nf[j]
-                    out = self.mul_gen(out, j, nf[j])
-                else:
-                    out = self.mul(out, self.pow_nf(image, nf[j]))
-            nf = out
+            nf = self._collect({}, self._conjugate_syllables(g, sign * bit, sorted(nf.items())))
         return nf
 
     def substitute(

@@ -271,6 +271,20 @@ def test_computation_failure_exit(tmp_path, capsys):
     assert "invariant presentation" in err
 
 
+def test_check_conjecture_below_the_closed_form_is_an_input_error(capsys, monkeypatch):
+    def no_tower(*args):
+        raise AssertionError("the tower ran")
+
+    monkeypatch.setattr("lpres.cli.dwyer_range", no_tower)
+    for name in ("basilica", "bsv"):
+        for extra in ((), ("--json",)):
+            argv = ("check-conjecture", "--group", name, "--max-class", "1", *extra)
+            code, out, err = run(capsys, *argv)
+            assert code == 1, (name, extra)
+            assert out == ""
+            assert "starts at class 2" in err
+
+
 def test_check_conjecture_rejects_file_source(capsys):
     code, _, _ = run(capsys, "check-conjecture", "--file", "x.lp", "--max-class", "2")
     assert code == 1

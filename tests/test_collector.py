@@ -1,9 +1,13 @@
-"""Collection with powered conjugation against the repeated-conjugation reference.
+"""The collector against the recursive, repeated-conjugation reference.
 
-PcPresentation conjugates by g^e through the cached images of each
-generator under conjugation by g^(+-2^k); ReferenceCollector
-(collector_oracle.py) conjugates abs(e) times by g^(+-1).  In a
-consistent presentation both must give the same normal forms.
+PcPresentation collects in one loop over a stack of syllables and
+conjugates by g^e through the cached images of each generator under
+conjugation by g^(+-2^k); ReferenceCollector (collector_oracle.py)
+recurses through mul_gen and conjugates abs(e) times by g^(+-1).  In a
+consistent presentation both must give the same normal forms.  The
+cases include long segments, power tails whose syllables do not
+commute, and covers whose central generators carry into power tails
+inside the central block.
 """
 
 import functools
@@ -23,10 +27,14 @@ SOURCES = {
     "quat8": "group quat8 { generators: a, b; fixed: a^4, b^2*a^-2, a^b*a; }",
     "heisenberg": "group heis { generators: a, b; fixed: [[a, b], a], [[a, b], b]; }",
     "power12": "group g { generators: a, b; invariant: true; fixed: (b^a)^12; }",
+    # a^2 = b*c with b and c not commuting, so a carry of a raises a
+    # power tail whose syllables do not commute; its cover has central
+    # generators whose power tails carry within the central block
+    "square_bc": "group g { generators: a, b, c; fixed: a^2*c^-1*b^-1, b^4, c^4; }",
 }
 
 # (group, class, whether to take the cover of that quotient); the covers
-# have a central block, so the central merge is exercised as well
+# have a central block, so central syllables are exercised as well
 CASES = [
     ("grigorchuk", 3, False),
     ("twisted_twin", 2, False),
@@ -38,6 +46,14 @@ CASES = [
     ("power12", 3, False),
     ("quat8", 2, True),
     ("power12", 2, True),
+    # longer segments, and power tails that carry into the central block
+    ("grigorchuk", 8, False),
+    ("grigorchuk", 8, True),
+    ("basilica", 4, True),
+    ("bsv", 4, True),
+    ("twisted_twin", 4, True),
+    ("square_bc", 3, False),
+    ("square_bc", 2, True),
 ]
 
 BIG = 10**4

@@ -1,4 +1,7 @@
-"""Multiplier filtration: exact identities and finite-group baselines."""
+"""Multiplier filtration: exact identities, finite-group baselines and
+families with a known multiplier."""
+
+import math
 
 import pytest
 
@@ -6,6 +9,12 @@ from lpres.lattices import AbelianInvariants, membership, row_times_matrix
 from lpres.multiplier import dwyer_range
 from lpres.presentations import load_catalog, parse_one
 from lpres.quotients import nilpotent_quotient
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # the known-multiplier properties are left out without it
+    given = None
 
 
 def test_finite_nilpotent_groups_stabilize_at_full_multiplier():
@@ -116,3 +125,68 @@ def test_max_class_must_be_positive():
     pres = load_catalog("basilica")
     with pytest.raises(ValueError):
         dwyer_range(pres, 0)
+
+
+# --------------------------------------------------- known multipliers
+#
+# For a nilpotent group G of class k, the class-c quotient is G itself
+# for every c >= k, so M(H_c) is M(G) and the image of M(G) in it is
+# all of M(G).  These families have M(G) in closed form.
+
+
+def _names(k):
+    return ["x%d" % i for i in range(k)]
+
+
+def _commutators(names):
+    return ["[%s, %s]" % (a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+
+
+def _group(names, relators):
+    fixed = " fixed: %s;" % ", ".join(relators) if relators else ""
+    return parse_one("group g { generators: %s;%s }" % (", ".join(names), fixed))
+
+
+def _cyclic(d):
+    """Z_d, with Z_0 = Z."""
+    if d == 0:
+        return AbelianInvariants(1, ())
+    return AbelianInvariants(0, (d,) if d > 1 else ())
+
+
+def _assert_multiplier(pres, nclass, expected):
+    """M(H_c) and the image of M(G) are both expected at classes nclass
+    and nclass + 1."""
+    for step in dwyer_range(pres, nclass + 1)[nclass - 1 :]:
+        assert step.multiplier == expected, (step.nclass, step.multiplier)
+        assert step.invariants == expected, (step.nclass, step.invariants)
+
+
+if given is not None:
+
+    @given(m=st.integers(0, 30), n=st.integers(0, 30))
+    def test_two_cyclic_factors_have_the_gcd_as_multiplier(m, n):
+        # Z_m x Z_n, with Z_0 = Z, has multiplier Z_gcd(m, n)
+        names = _names(2)
+        powers = ["%s^%d" % (a, d) for a, d in zip(names, (m, n)) if d]
+        pres = _group(names, powers + _commutators(names))
+        _assert_multiplier(pres, 1, _cyclic(math.gcd(m, n)))
+
+    @given(p=st.sampled_from([2, 3, 5, 7, 11]), k=st.integers(1, 4))
+    def test_elementary_abelian_groups(p, k):
+        # (Z_p)^k has multiplier (Z_p)^(k(k-1)/2)
+        names = _names(k)
+        pres = _group(names, ["%s^%d" % (a, p) for a in names] + _commutators(names))
+        _assert_multiplier(pres, 1, AbelianInvariants(0, (p,) * (k * (k - 1) // 2)))
+
+    @given(k=st.integers(1, 4))
+    def test_free_abelian_groups(k):
+        # Z^k has multiplier Z^(k(k-1)/2)
+        names = _names(k)
+        pres = _group(names, _commutators(names))
+        _assert_multiplier(pres, 1, AbelianInvariants(k * (k - 1) // 2, ()))
+
+
+def test_heisenberg_group_has_multiplier_z_squared():
+    heis = parse_one("group heis { generators: a, b; fixed: [[a, b], a], [[a, b], b]; }")
+    _assert_multiplier(heis, 2, AbelianInvariants(2, ()))
