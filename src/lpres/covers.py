@@ -94,11 +94,11 @@ def lift_through_definitions(
     for g in range(pc.ngens):
         d = pc.definitions[g]
         if d[0] == "free":
-            ims.append(pc.eval_word(images, endo.images[d[1]]))
+            ims.append(pc.substitute(images, endo.images[d[1]].syllables))
             continue
         # each definition reads prefix * g = value, with prefix the tail minus g
         if d[0] == "freetail":
-            tail, value = images[d[1]], pc.eval_word(images, endo.images[d[1]])
+            tail, value = images[d[1]], pc.substitute(images, endo.images[d[1]].syllables)
         elif d[0] == "conj":
             tail, value = pc.conj[(d[1], d[2])], pc.comm_nf(ims[d[2]], ims[d[1]])
         elif d[0] == "pow":
@@ -119,8 +119,7 @@ def _apply_central_rows(pc: PcPresentation, images: list[dict[int, int]], basis:
     power tail.  Rows are processed by descending pivot column so each
     tail is canonicalized against already-final later generators.
     """
-    cs = pc.central_start
-    assert cs is not None
+    cs = pc.ngens - basis.ncols
     elim: dict[int, dict[int, int]] = {}
     for row, p in reversed(list(zip(basis.rows, basis.pivots))):
         g = cs + p
@@ -201,7 +200,6 @@ class Cover:
         self.pc = pc
         self.lift_images = lift_images
         self.base_ngens = base_ngens
-        self._endo_cache: dict[FreeEndomorphism, list[dict[int, int]]] = {}
 
     @property
     def central_dim(self) -> int:
@@ -227,21 +225,13 @@ class Cover:
 
     def multiplier_invariants(self) -> AbelianInvariants:
         """Schur multiplier of the quotient: kernel of the section's abelianization."""
-        kernel = left_kernel(self.mu_rows(), nrows=self.central_dim)
+        kernel = left_kernel(self.mu_rows())
         return subgroup_invariants(kernel, self.torsion_rows(), self.central_dim)
 
     def relator_rows(self, words: Sequence[Word]) -> list[list[int]]:
         return [
-            self.central_vector(self.pc.eval_word(self.lift_images, w)) for w in words
+            self.central_vector(self.pc.substitute(self.lift_images, w.syllables)) for w in words
         ]
-
-    def lifted_images(self, endo: FreeEndomorphism) -> list[dict[int, int]]:
-        """Images of every cover generator under the lifted endomorphism."""
-        cached = self._endo_cache.get(endo)
-        if cached is None:
-            cached = lift_through_definitions(self.pc, self.lift_images, endo)
-            self._endo_cache[endo] = cached
-        return cached
 
     def endomorphism_matrices(self) -> list[list[list[int]]]:
         """Action of each declared endomorphism on the central section.
@@ -251,7 +241,7 @@ class Cover:
         """
         mats = []
         for name, endo in self.pres.endomorphisms:
-            ims = self.lifted_images(endo)
+            ims = lift_through_definitions(self.pc, self.lift_images, endo)
             rows = []
             for t in range(self.central_dim):
                 im = ims[self.base_ngens + t]
@@ -280,7 +270,7 @@ class Cover:
         """Rows spanning the image of the group's multiplier: the relator
         lattice met with the kernel of mu_rows (see multiplier.py)."""
         rows = self.relator_lattice.rows
-        kernel = left_kernel(matrix_product(rows, self.mu_rows()), nrows=len(rows))
+        kernel = left_kernel(matrix_product(rows, self.mu_rows()))
         return matrix_product(kernel, rows)
 
 
@@ -290,7 +280,6 @@ def build_cover(system: QuotientSystem) -> Cover:
     pc = system.pc.copy()
     images = [dict(im) for im in system.images]
     cs = pc.ngens
-    pc.central_start = cs
     cover_class = pc.nclass + 1
 
     defined_pow = {d[1] for d in pc.definitions if d[0] == "pow"}
@@ -340,9 +329,7 @@ def build_cover(system: QuotientSystem) -> Cover:
 
     # overlap checks become relations between the central generators
     echelon = _SparseEchelon()
-    for kind, idx, lhs, rhs in pc.overlap_checks(
-        old_limit=cs, class_bound=cover_class, prune=True
-    ):
+    for kind, idx, lhs, rhs in pc.overlap_checks(prune=True):
         if lhs == rhs:
             continue
         row = {}
@@ -378,5 +365,4 @@ def impose_relators(cover: Cover) -> QuotientSystem:
         pc.power_tails.pop(g, None)
     pc.clear_caches()
     _apply_central_rows(pc, images, lattice)
-    pc.central_start = None
     return QuotientSystem(cover.pres, pc, images)

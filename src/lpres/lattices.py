@@ -226,15 +226,11 @@ def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-def left_kernel(matrix: Sequence[Sequence[int]], nrows: Optional[int] = None) -> list[list[int]]:
-    """Basis of {x in Z^nrows : x * matrix = 0}, as canonical HNF rows."""
+def left_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of {x : x * matrix = 0}, as canonical HNF rows."""
     rows = [list(r) for r in matrix]
-    if nrows is None:
-        nrows = len(rows)
-    elif rows and nrows != len(rows):
-        raise ValueError("nrows does not match the number of matrix rows")
     if not rows:
-        return [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+        return []
     ncols = len(rows[0])
     for r in rows:
         if len(r) != ncols:

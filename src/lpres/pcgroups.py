@@ -8,23 +8,26 @@ generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
   g_i^{o_i} = tail, with the tail a normal form over generators of
   index > i;
 * for i < j there is a conjugation relation g_j^{g_i} = g_j * tail
-  with the tail a normal form over generators of index > j; a missing
-  entry means the two generators commute.
+  with the tail a normal form over generators of index > j and of
+  weight at least w_i + w_j; a missing entry means the two generators
+  commute.
+
+The weight condition leaves the generators of the top weight without
+conjugation relations, so they form a central block, inferred from
+the weights: it is the new layer while a quotient is extended, and
+the last lower central layer of a quotient.
 
 Normal forms are sparse dicts {generator index: exponent} with the
 exponent of a finite-order generator kept in [0, order).  Products are
 computed by collection from the left, in one loop over a stack of
 (generator, exponent) syllables: u * g^e keeps the part of u below g
 and pushes the part above g, conjugated by g^e, back on the stack.
-That conjugation is the e-th power of conjugation by g, applied by
-binary powering from the cached images of the generators under
-conjugation by g^(+-2^k), so it takes about log2|e| passes, not |e|
-(Vaughan-Lee, "Collection from the left", J. Symbolic Comput. 9, 1990).
-When central_start is set, generators at index >= central_start form a
-central block (used while extending a quotient by a new layer): they
-commute with everything and their conjugation relations are trivial,
-so a central syllable only adds to its exponent; central_start None
-means no such block is declared.
+Conjugation is only ever by g^(+-2^k), from the cached images of the
+generators under it: a syllable g^e with any other exponent is split
+into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
+one pass per set bit, not |e| (Vaughan-Lee, "Collection from the
+left", J. Symbolic Comput. 9, 1990).  A syllable of the central block
+only adds to its exponent.
 
 Consistency of the relations is checked through the standard overlap
 tests; an inconsistent presentation makes the two collections of an
@@ -38,7 +41,6 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattices import AbelianInvariants, smith_invariants
-from .words import Word
 
 # generator definitions:
 #   ("free", s)      image of the s-th free generator
@@ -57,7 +59,6 @@ class PcPresentation:
         "conj",
         "definitions",
         "abelian_image",
-        "central_start",
         "_conj_cache",
     )
 
@@ -69,7 +70,6 @@ class PcPresentation:
         self.conj: dict[tuple[int, int], dict[int, int]] = {}
         self.definitions: list[tuple] = []
         self.abelian_image: list[tuple[int, ...]] = []
-        self.central_start: Optional[int] = None
         self._conj_cache: dict[tuple[int, int, int], dict[int, int]] = {}
 
     # ------------------------------------------------------------ structure
@@ -80,7 +80,7 @@ class PcPresentation:
 
     @property
     def nclass(self) -> int:
-        return max(self.weights, default=0)
+        return self.weights[-1] if self.weights else 0
 
     def add_generator(
         self,
@@ -113,6 +113,8 @@ class PcPresentation:
         tail = {g: e for g, e in tail.items() if e}
         if any(g <= j for g in tail):
             raise ValueError("conjugation tail must use generators above the conjugated one")
+        if any(self.weights[g] < self.weights[i] + self.weights[j] for g in tail):
+            raise ValueError("conjugation tail must have weight at least w_i + w_j")
         if tail:
             self.conj[(i, j)] = tail
         else:
@@ -123,11 +125,9 @@ class PcPresentation:
         self._conj_cache.clear()
 
     def _central_bound(self) -> int:
-        return self.ngens if self.central_start is None else self.central_start
-
-    def _conj_central_only(self, i: int, j: int) -> bool:
-        tail = self.conj.get((i, j))
-        return tail is None or min(tail) >= self._central_bound()
+        """Index of the first generator of the top weight: the central block."""
+        w = self.weights
+        return bisect_left(w, w[-1]) if w else 0
 
     def copy(self) -> "PcPresentation":
         twin = PcPresentation(self.nfree)
@@ -137,7 +137,6 @@ class PcPresentation:
         twin.conj = {k: dict(t) for k, t in self.conj.items()}
         twin.definitions = list(self.definitions)
         twin.abelian_image = list(self.abelian_image)
-        twin.central_start = self.central_start
         return twin
 
     # ------------------------------------------------------------ collection
@@ -152,8 +151,11 @@ class PcPresentation:
         segment up to the central block), out * g^e is base * g^(a+e) *
         segment^(g^e) * central.  So the segment is popped off out, and
         its conjugate, then the power tail of any carry past the order
-        of g, go on the stack to be collected next.  A central g only
-        adds to its exponent and pushes its tail times the carry.
+        of g, go on the stack to be collected next.  The segment is
+        conjugated by g^(+-2^k) only: for any other e, g^e is split into
+        g^low for the lowest set bit of e, collected now, and g^(e-low),
+        pushed to follow the conjugated segment.  A central g only adds
+        to its exponent and pushes its tail times the carry.
         """
         cs = self._central_bound()
         orders, tails = self.orders, self.power_tails
@@ -168,6 +170,11 @@ class PcPresentation:
                 if g < top:
                     segment = sorted([k for k in out if g < k < cs])
                     segment = [(k, out.pop(k)) for k in segment]
+                    low = e & -e
+                    if segment and low != abs(e):
+                        low = low if e > 0 else -low
+                        stack.append((g, e - low))
+                        e = low
                 top = g
             total = out.get(g, 0) + e
             carry = 0
@@ -179,10 +186,7 @@ class PcPresentation:
             else:
                 out.pop(g, None)
             if segment:
-                if abs(e) & (abs(e) - 1):
-                    stack += sorted(self._conj_nf(dict(segment), g, e).items(), reverse=True)
-                else:
-                    stack += self._conjugate_syllables(g, e, segment)
+                stack += self._conjugate_syllables(g, e, segment)
             if carry and g in tails:
                 if g < cs and carry != 1:
                     stack += sorted(self.pow_nf(tails[g], carry).items(), reverse=True)
@@ -228,7 +232,7 @@ class PcPresentation:
 
     def comm_nf(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
         """Normal form of the commutator u^-1 * v^-1 * u * v."""
-        return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
+        return self.substitute((u, v), ((0, -1), (1, -1), (0, 1), (1, 1)))
 
     def conj_gen_nf(self, g: int, s: int, j: int) -> dict[int, int]:
         """Normal form of g_j conjugated by g_g^s, for j > g and s = +-2^k.
@@ -265,55 +269,53 @@ class PcPresentation:
             cache[(g, level, j)] = res
         return res
 
-    def _conj_nf(self, nf: dict[int, int], g: int, e: int) -> dict[int, int]:
-        """Conjugate a normal form over generators > g by g_g^e.
-
-        Conjugation by g_g^e is the e-th power of conjugation by g_g, so
-        it is applied by binary powering: one pass per set bit of
-        abs(e), the pass for bit k mapping each g_j to its conjugate by
-        g_g^(+-2^k).
-        """
-        sign = 1 if e > 0 else -1
-        e = abs(e)
-        while e:
-            bit = e & -e
-            e ^= bit
-            nf = self._collect({}, self._conjugate_syllables(g, sign * bit, sorted(nf.items())))
-        return nf
+    def _conj_nf(self, nf: dict[int, int], g: int, s: int) -> dict[int, int]:
+        """Conjugate a normal form over generators > g by g_g^s, s = +-2^k."""
+        return self._collect({}, self._conjugate_syllables(g, s, sorted(nf.items())))
 
     def substitute(
         self, images: Sequence[dict[int, int]], syllables: Iterable[tuple[int, int]]
     ) -> dict[int, int]:
         """Product of images[g]^e over the (g, e) syllables: a word's, or
-        the sorted items of a normal form to map it by g -> images[g]."""
+        the sorted items of a normal form to map it by g -> images[g].
+
+        Each factor is collected onto one running normal form: the image
+        itself for e = 1, its inverse word for e = -1, its power otherwise.
+        """
         out: dict[int, int] = {}
         for g, e in syllables:
-            out = self.mul(out, self.pow_nf(images[g], e))
+            image = images[g]
+            if e == 1:
+                stack = sorted(image.items(), reverse=True)
+            elif e == -1:
+                stack = [(h, -f) for h, f in sorted(image.items())]
+            else:
+                stack = sorted(self.pow_nf(image, e).items(), reverse=True)
+            self._collect(out, stack)
         return out
-
-    def eval_word(self, images: Sequence[dict[int, int]], word: Word) -> dict[int, int]:
-        """Image of a free word under the map sending free generator s to images[s]."""
-        return self.substitute(images, word.syllables)
 
     # ------------------------------------------------------------ consistency
 
     def overlap_checks(
-        self,
-        old_limit: Optional[int] = None,
-        class_bound: Optional[int] = None,
-        prune: bool = True,
+        self, prune: bool = True
     ) -> Iterator[tuple[str, tuple[int, ...], dict[int, int], dict[int, int]]]:
         """Collect each overlap of rewriting rules in its two possible orders.
 
-        Yields (kind, indices, lhs, rhs); the presentation is
-        consistent on the checked range when every pair agrees.  Only
-        generators below old_limit participate (overlaps involving the
-        central block are automatically consistent).  Triple overlaps
-        whose weight sum exceeds class_bound live in a trivial section
-        of the group and are skipped unless prune is False.
+        Yields (kind, indices, lhs, rhs); the presentation is consistent
+        when every pair agrees.  With prune set, three kinds of overlap
+        are skipped, as they always agree: those that involve a
+        generator of the central block (the top weight, whose
+        generators have no conjugation relations), triples whose weight
+        sum exceeds nclass (they lie in a trivial section of the group),
+        and triples that conjugate each other by central factors only.
         """
-        n = self.ngens if old_limit is None else old_limit
-        bound = self.nclass if class_bound is None else class_bound
+        cs = self._central_bound()
+        n = cs if prune else self.ngens
+        bound = self.nclass
+
+        def central_only(i: int, j: int) -> bool:
+            tail = self.conj.get((i, j))
+            return tail is None or min(tail) >= cs
         # power overlaps g_i^(o_i + 1)
         for i in range(n):
             o = self.orders[i]
@@ -353,11 +355,7 @@ class PcPresentation:
                         # when all three generators conjugate each other by
                         # central factors only, the two collection orders
                         # produce the same central multiset and always agree
-                        if (
-                            self._conj_central_only(i, j)
-                            and self._conj_central_only(i, k)
-                            and self._conj_central_only(j, k)
-                        ):
+                        if central_only(i, j) and central_only(i, k) and central_only(j, k):
                             continue
                     elif (
                         (i, j) not in self.conj
@@ -370,13 +368,11 @@ class PcPresentation:
                     yield ("comm", (k, j, i), lhs, rhs)
 
     def consistency_failures(
-        self, prune: bool = True, class_bound: Optional[int] = None
+        self, prune: bool = True
     ) -> list[tuple[str, tuple[int, ...], dict[int, int], dict[int, int]]]:
         return [
             (kind, idx, lhs, rhs)
-            for kind, idx, lhs, rhs in self.overlap_checks(
-                old_limit=self.ngens, class_bound=class_bound, prune=prune
-            )
+            for kind, idx, lhs, rhs in self.overlap_checks(prune=prune)
             if lhs != rhs
         ]
 

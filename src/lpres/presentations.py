@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattices import AbelianInvariants, smith_invariants, xgcd
+from .lattices import AbelianInvariants, hnf, smith_invariants, spin_closure, xgcd
 from .words import Alphabet, FreeEndomorphism, Word, commutator
 
 
@@ -79,8 +79,6 @@ class LPresentation:
 # --------------------------------------------------------------------------
 # tokenizer and parser
 
-
-_SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", ":", "*", "^", "-")
 
 # Each level of nested words costs the word grammar three stack frames;
 # deeper input is rejected well before Python's recursion limit.
@@ -533,6 +531,12 @@ def adjust(pres: LPresentation) -> AdjustedLPresentation:
     Fixed relators reduce into fixed consequences, iterated ones into
     iterated consequences, and the process terminates because the
     lattice cannot grow forever.
+
+    The basis also takes in the images of the fixed relators.  In an
+    invariant presentation they lie in the relation subgroup, so the
+    basis spans the fixed vectors plus the closure of the iterated ones
+    under the endomorphisms' matrices; a ValueError is raised when it
+    does not, as the invariant claim is then false.
     """
     if not pres.invariant:
         raise ValueError("adjustment requires an invariant presentation")
@@ -627,11 +631,21 @@ def adjust(pres: LPresentation) -> AdjustedLPresentation:
 
     for row in echelon:
         assert list(row.word.exponent_vector()) == row.vector
+    basis_vectors = tuple(tuple(row.vector) for row in echelon)
+    spun = spin_closure(
+        [q.exponent_vector() for q in pres.iterated], [endo.matrix() for endo in pres.maps], ncols=n
+    )
+    relations = hnf([*(q.exponent_vector() for q in pres.fixed), *spun.rows], ncols=n)
+    if relations.rows != basis_vectors:
+        raise ValueError(
+            "ill-defined image detected: the endomorphisms do not map the "
+            "relator lattice into itself, so the presentation is not invariant"
+        )
 
     return AdjustedLPresentation(
         original=pres,
         basis_words=tuple(row.word for row in echelon),
-        basis_vectors=tuple(tuple(row.vector) for row in echelon),
+        basis_vectors=basis_vectors,
         fixed_consequences=tuple(fixed_out),
         iterated_consequences=tuple(iterated_out),
     )

@@ -20,8 +20,9 @@ class ReferenceCollector:
         self._conj_cache = {}
 
     def _central_bound(self):
-        pc = self.pc
-        return pc.ngens if pc.central_start is None else pc.central_start
+        # no generator above the last one that some generator conjugates
+        # non-trivially has a conjugation relation, so those are central
+        return 1 + max((j for _, j in self.pc.conj), default=-1)
 
     def mul(self, u, v):
         out = dict(u)

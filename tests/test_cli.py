@@ -260,9 +260,9 @@ def test_missing_file_exit(capsys):
 def test_computation_failure_exit(tmp_path, capsys):
     path = tmp_path / "swap.lp"
     path.write_text(SWAP)
-    for command in ("dwyer", "nq"):
-        code, _, err = run(capsys, command, "--file", str(path), "--max-class", "3")
-        assert code == 2, command
+    for argv in (("dwyer", "--max-class", "3"), ("nq", "--max-class", "3"), ("adjust",)):
+        code, _, err = run(capsys, *argv, "--file", str(path))
+        assert code == 2, argv
         assert "ill-defined image" in err
     # a presentation declared not invariant has no multiplier image
     path.write_text(NONINVARIANT)

@@ -121,7 +121,8 @@ def test_powered_conjugation_equals_repeated_conjugation(case):
             step = nf
             for _ in range(abs(e)):
                 step = pc._conj_nf(step, g, 1 if e > 0 else -1)
-            assert pc._conj_nf(nf, g, e) == step, (g, e)
+            # nf * g^e = g^e * nf^(g^e), with g^e split into +-2^k syllables
+            assert pc._collect(dict(nf), [(g, e)]) == pc.mul(pc.pow_nf({g: 1}, e), step), (g, e)
 
 
 def test_cold_high_level_conjugation_needs_no_deep_stack():

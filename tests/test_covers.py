@@ -5,7 +5,7 @@ import random
 import pytest
 from relator_oracle import spun_relators
 
-from lpres.covers import build_cover, impose_relators, trivial_system
+from lpres.covers import build_cover, impose_relators, lift_through_definitions, trivial_system
 from lpres.lattices import AbelianInvariants, smith_invariants
 from lpres.presentations import load_catalog, parse_one
 from lpres.words import Word
@@ -151,11 +151,12 @@ def test_lifted_endomorphism_intertwines_projection(name):
     for _ in range(2):
         cover = build_cover(system)
         for _name, endo in pres.endomorphisms:
+            lifted = lift_through_definitions(cover.pc, cover.lift_images, endo)
             for _ in range(8):
                 w = random_word(rng, pres.alphabet, rng.randrange(1, 7))
-                nf = cover.pc.eval_word(cover.lift_images, w)
-                lhs = cover.pc.substitute(cover.lifted_images(endo), sorted(nf.items()))
-                rhs = cover.pc.eval_word(cover.lift_images, endo(w))
+                nf = cover.pc.substitute(cover.lift_images, w.syllables)
+                lhs = cover.pc.substitute(lifted, sorted(nf.items()))
+                rhs = cover.pc.substitute(cover.lift_images, endo(w).syllables)
                 assert lhs == rhs
         system = impose_relators(cover)
 

@@ -105,7 +105,7 @@ def test_image_of_word_is_a_homomorphism():
     names = pres.alphabet.names
 
     def image(w):
-        return system.pc.eval_word(system.images, w)
+        return system.pc.substitute(system.images, w.syllables)
 
     for _ in range(25):
         u = Word.identity(pres.alphabet)
@@ -121,7 +121,7 @@ def test_relators_die_in_quotients():
         pres = load_catalog(name)
         system = nilpotent_quotient(pres, 3)
         for w in spun_relators(pres, 4):
-            assert system.pc.eval_word(system.images, w) == {}
+            assert system.pc.substitute(system.images, w.syllables) == {}
 
 
 def test_induced_endomorphism_validates():
@@ -141,7 +141,7 @@ def test_induced_endomorphism_validates():
         return out
 
     def image(w):
-        return system.pc.eval_word(system.images, w)
+        return system.pc.substitute(system.images, w.syllables)
 
     for _ in range(15):
         w = Word.identity(pres.alphabet)
