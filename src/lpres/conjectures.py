@@ -62,7 +62,7 @@ def _basilica_torsion(c: int) -> list[int]:
     if c >= 6:
         m = (c - 6) // 2
         parts.append(2 ** (2 * (m + 1)))
-    level = 2
+    level = 1
     while 3 * 2 ** (level + 1) <= c:
         base = 2 ** (level + 1)
         m = c // base - 3

@@ -24,6 +24,7 @@ from .lattices import (
     AbelianInvariants,
     HNFBasis,
     _SparseEchelon,
+    hnf,
     left_kernel,
     matrix_product,
     spin_closure,
@@ -93,9 +94,6 @@ def lift_through_definitions(
     ims: list[dict[int, int]] = []
     for g in range(pc.ngens):
         d = pc.definitions[g]
-        if d[0] == "free":
-            ims.append(pc.substitute(images, endo.images[d[1]].syllables))
-            continue
         # each definition reads prefix * g = value, with prefix the tail minus g
         if d[0] == "freetail":
             tail, value = images[d[1]], pc.substitute(images, endo.images[d[1]].syllables)
@@ -256,15 +254,17 @@ class Cover:
 
     @cached_property
     def relator_lattice(self) -> HNFBasis:
-        """Values of the fixed relators plus the closure of the iterated
-        relator values under the lifted endomorphisms, over the torsion
-        of the section: the lattice the next quotient imposes."""
-        return spin_closure(
-            self.relator_rows(self.pres.iterated),
+        """The lattice the next quotient imposes: the closure of the
+        iterated relator values and the torsion of the section under the
+        lifted endomorphisms, plus the fixed relator values.  The lifted
+        matrices map the torsion into itself, so spinning it with the
+        iterated values closes them modulo the torsion."""
+        spun = spin_closure(
+            self.relator_rows(self.pres.iterated) + self.torsion_rows(),
             self.endomorphism_matrices(),
-            base_rows=self.torsion_rows() + self.relator_rows(self.pres.fixed),
             ncols=self.central_dim,
         )
+        return hnf(list(spun.rows) + self.relator_rows(self.pres.fixed), self.central_dim)
 
     def image_rows(self) -> list[list[int]]:
         """Rows spanning the image of the group's multiplier: the relator
@@ -284,7 +284,7 @@ def build_cover(system: QuotientSystem) -> Cover:
 
     defined_pow = {d[1] for d in pc.definitions if d[0] == "pow"}
     defined_conj = {(d[1], d[2]) for d in pc.definitions if d[0] == "conj"}
-    defined_free = {d[1] for d in pc.definitions if d[0] in ("free", "freetail")}
+    defined_free = {d[1] for d in pc.definitions if d[0] == "freetail"}
 
     # one fresh central generator per non-defining power relation,
     for i in range(cs):

@@ -367,27 +367,24 @@ def subgroup_invariants(
 def spin_closure(
     seed_rows: Iterable[Sequence[int]],
     matrices: Sequence[Sequence[Sequence[int]]],
-    base_rows: Iterable[Sequence[int]] = (),
     ncols: Optional[int] = None,
 ) -> HNFBasis:
-    """Smallest lattice containing seeds and base, closed under the matrices.
+    """Smallest lattice containing the seeds and closed under the matrices.
 
-    The base rows are included but act as the ambient torsion: closure
-    is tested modulo the running lattice, and matrices are applied to
-    every vector that enlarges it.  One echelon holds the running
-    lattice: an image whose remainder modulo it is zero is a member,
-    and a nonzero remainder is inserted.  Processing is breadth-first
-    and deterministic.
+    One echelon holds the running lattice, spanned by the seeds and the
+    images inserted so far, and every one of those vectors is spun: an
+    image whose remainder modulo the lattice is zero is a member, so
+    its own images are combinations of images already queued, and a
+    nonzero remainder is inserted and the image queued.  Processing is
+    breadth-first and deterministic.
     """
     seeds = [list(r) for r in seed_rows]
-    base = [list(r) for r in base_rows]
     if ncols is None:
-        probe = seeds or base
-        if not probe:
-            raise ValueError("ncols is required when both seed and base are empty")
-        ncols = len(probe[0])
-    echelon = _echelon(seeds + base, ncols)
-    queue = list(seeds)
+        if not seeds:
+            raise ValueError("ncols is required for an empty seed set")
+        ncols = len(seeds[0])
+    echelon = _echelon(seeds, ncols)
+    queue = seeds
     head = 0
     while head < len(queue):
         vec = queue[head]

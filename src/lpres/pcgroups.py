@@ -43,7 +43,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .lattices import AbelianInvariants, smith_invariants
 
 # generator definitions:
-#   ("free", s)      image of the s-th free generator
 #   ("freetail", s)  correction factor multiplied onto the image of the
 #                    s-th free generator during an extension
 #   ("conj", i, j)   new factor in the relation g_j^{g_i} = g_j * tail
@@ -302,20 +301,17 @@ class PcPresentation:
         """Collect each overlap of rewriting rules in its two possible orders.
 
         Yields (kind, indices, lhs, rhs); the presentation is consistent
-        when every pair agrees.  With prune set, three kinds of overlap
-        are skipped, as they always agree: those that involve a
-        generator of the central block (the top weight, whose
-        generators have no conjugation relations), triples whose weight
-        sum exceeds nclass (they lie in a trivial section of the group),
-        and triples that conjugate each other by central factors only.
+        when every pair agrees.  Commutator triples in which no pair has
+        a stored conjugation relation commute pairwise and are always
+        skipped.  With prune set, two more kinds of overlap are skipped,
+        as they always agree: those that involve a generator of the
+        central block (the top weight, whose generators have no
+        conjugation relations), and triples whose weight sum exceeds
+        nclass (they lie in a trivial section of the group).
         """
-        cs = self._central_bound()
-        n = cs if prune else self.ngens
+        n = self._central_bound() if prune else self.ngens
         bound = self.nclass
-
-        def central_only(i: int, j: int) -> bool:
-            tail = self.conj.get((i, j))
-            return tail is None or min(tail) >= cs
+        conj = self.conj
         # power overlaps g_i^(o_i + 1)
         for i in range(n):
             o = self.orders[i]
@@ -351,17 +347,7 @@ class PcPresentation:
                 for k in range(j + 1, n):
                     if prune and wij + self.weights[k] > bound:
                         break
-                    if prune:
-                        # when all three generators conjugate each other by
-                        # central factors only, the two collection orders
-                        # produce the same central multiset and always agree
-                        if central_only(i, j) and central_only(i, k) and central_only(j, k):
-                            continue
-                    elif (
-                        (i, j) not in self.conj
-                        and (i, k) not in self.conj
-                        and (j, k) not in self.conj
-                    ):
+                    if (i, j) not in conj and (i, k) not in conj and (j, k) not in conj:
                         continue
                     lhs = self.mul(self.mul({k: 1}, {j: 1}), {i: 1})
                     rhs = self.mul({k: 1}, self.mul({j: 1}, {i: 1}))

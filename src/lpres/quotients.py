@@ -29,18 +29,17 @@ from .words import FreeEndomorphism
 def abelian_quotient(pres: LPresentation) -> AbelianInvariants:
     """Abelianization of the presented group.
 
-    The fixed relator vectors are imposed directly; the iterated ones
-    are closed under the endomorphisms acting on Z^n by their
-    abelianized matrices.
+    The iterated relator vectors are closed under the endomorphisms
+    acting on Z^n by their abelianized matrices, and the fixed ones are
+    added to that closure.
     """
     n = len(pres.alphabet)
-    lattice = spin_closure(
+    spun = spin_closure(
         [list(w.exponent_vector()) for w in pres.iterated],
         [endo.matrix() for _, endo in pres.endomorphisms],
-        base_rows=[list(w.exponent_vector()) for w in pres.fixed],
         ncols=n,
     )
-    return smith_invariants(lattice.rows, n)
+    return smith_invariants([*spun.rows, *(w.exponent_vector() for w in pres.fixed)], n)
 
 
 def tower(pres: LPresentation) -> Iterator[tuple[Cover, QuotientSystem]]:
@@ -85,46 +84,41 @@ def quotient_tower(pres: LPresentation, max_class: int):
         yield c, system
 
 
-def induce_endomorphism(
-    system: QuotientSystem,
-    endo: FreeEndomorphism,
-    validate: bool = True,
-) -> list[dict[int, int]]:
+def induce_endomorphism(system: QuotientSystem, endo: FreeEndomorphism) -> list[dict[int, int]]:
     """Images of the pc generators under the induced endomorphism.
 
-    The images always exist as normal forms; when validate is set, every
-    power and conjugation relation is checked to map to a consequence,
-    so a presentation that is not actually invariant is rejected with a
+    The images always exist as normal forms; every power and
+    conjugation relation is checked to map to a consequence, so a
+    presentation that is not actually invariant is rejected with a
     ValueError instead of silently producing a non-homomorphism.
     """
     pc = system.pc
     ims = lift_through_definitions(pc, system.images, endo)
-    if validate:
-        for i in range(pc.ngens):
-            o = pc.orders[i]
-            if o is not None:
-                lhs = pc.pow_nf(ims[i], o)
-                rhs = pc.substitute(ims, sorted(pc.power_tails.get(i, {}).items()))
-                if lhs != rhs:
-                    raise ValueError(
-                        "ill-defined image detected: power relation of generator "
-                        "%d is not preserved" % i
-                    )
-        for (i, j), tail in sorted(pc.conj.items()):
-            lhs = pc.comm_nf(ims[j], ims[i])
-            rhs = pc.substitute(ims, sorted(tail.items()))
+    for i in range(pc.ngens):
+        o = pc.orders[i]
+        if o is not None:
+            lhs = pc.pow_nf(ims[i], o)
+            rhs = pc.substitute(ims, sorted(pc.power_tails.get(i, {}).items()))
             if lhs != rhs:
                 raise ValueError(
-                    "ill-defined image detected: conjugation relation (%d, %d) "
-                    "is not preserved" % (i, j)
+                    "ill-defined image detected: power relation of generator "
+                    "%d is not preserved" % i
                 )
-        # commuting pairs carry no stored relation but still constrain
-        for i in range(pc.ngens):
-            for j in range(i + 1, pc.ngens):
-                if (i, j) not in pc.conj:
-                    if pc.comm_nf(ims[j], ims[i]):
-                        raise ValueError(
-                            "ill-defined image detected: generators %d and %d "
-                            "commute but their images do not" % (i, j)
-                        )
+    for (i, j), tail in sorted(pc.conj.items()):
+        lhs = pc.comm_nf(ims[j], ims[i])
+        rhs = pc.substitute(ims, sorted(tail.items()))
+        if lhs != rhs:
+            raise ValueError(
+                "ill-defined image detected: conjugation relation (%d, %d) "
+                "is not preserved" % (i, j)
+            )
+    # commuting pairs carry no stored relation but still constrain
+    for i in range(pc.ngens):
+        for j in range(i + 1, pc.ngens):
+            if (i, j) not in pc.conj:
+                if pc.comm_nf(ims[j], ims[i]):
+                    raise ValueError(
+                        "ill-defined image detected: generators %d and %d "
+                        "commute but their images do not" % (i, j)
+                    )
     return ims

@@ -223,11 +223,13 @@ def test_criterion_11_spun_lattice_is_invariant():
             cover = build_cover(system)
             matrices = cover.endomorphism_matrices()
             torsion = cover.torsion_rows()
-            lattice = spin_closure(
-                cover.relator_rows(adj.iterated_consequences),
+            spun = spin_closure(
+                cover.relator_rows(adj.iterated_consequences) + torsion,
                 matrices,
-                base_rows=torsion + cover.relator_rows(adj.fixed_consequences),
                 ncols=cover.central_dim,
+            )
+            lattice = hnf(
+                list(spun.rows) + cover.relator_rows(adj.fixed_consequences), cover.central_dim
             )
             for matrix in matrices:
                 for row in lattice.rows:

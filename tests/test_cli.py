@@ -8,6 +8,7 @@ import pytest
 
 from lpres.cli import main
 from lpres.presentations import parse_one
+from lpres.quotients import abelian_quotient
 
 KLEIN = """
 group klein {
@@ -26,6 +27,18 @@ group swap {
 """
 
 NONINVARIANT = SWAP.replace("invariant: true", "invariant: false")
+
+# s(a) = b lies in the relator lattice only thanks to the fixed relator
+# b, yet its image s(b) = c must be spun too: the group is trivial.
+SPUN_PAST_FIXED = """
+group spun {
+  generators: a, b, c;
+  invariant: true;
+  fixed: b;
+  endomorphism s: a -> b, b -> c, c -> c;
+  iterated: a;
+}
+"""
 
 
 def run(capsys, *argv):
@@ -269,6 +282,18 @@ def test_computation_failure_exit(tmp_path, capsys):
     code, _, err = run(capsys, "dwyer", "--file", str(path), "--max-class", "3")
     assert code == 2
     assert "invariant presentation" in err
+
+
+def test_image_inside_the_lattice_by_a_fixed_relator_is_spun(tmp_path, capsys):
+    path = tmp_path / "spun.lp"
+    path.write_text(SPUN_PAST_FIXED)
+    code, out, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert (code, err) == (0, "")
+    assert "series stabilizes at class 0" in out
+    code, out, err = run(capsys, "dwyer", "--file", str(path), "--max-class", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["c=1: 1", "c=2: 1"]
+    assert abelian_quotient(parse_one(SPUN_PAST_FIXED)).is_trivial()
 
 
 def test_check_conjecture_below_the_closed_form_is_an_input_error(capsys, monkeypatch):

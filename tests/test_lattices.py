@@ -137,8 +137,8 @@ def test_lattice_functions_match_the_reference_echelon():
         if n <= 5:
             mats = [random_rows(rng, n, n, 2) for _ in range(rng.randint(0, 2))]
             seeds, base = rows[:2], rows[2:4]
-            got = spin_closure(seeds, mats, base, ncols=n).rows
-            assert got == reference_spin_closure(seeds, mats, base, n)
+            got = spin_closure(seeds + base, mats, ncols=n).rows
+            assert got == reference_spin_closure(seeds + base, mats, [], n)
 
 
 def assert_canonical_echelon(rows):
@@ -296,11 +296,11 @@ def test_spin_closure_swap():
 
 
 def test_spin_closure_respects_base():
-    # seeds spin into new directions, base supplies torsion
+    # seeds spin into new directions; a seed the matrix kills adds only itself
     mat = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    lattice = spin_closure([[1, 0, 0]], [mat], base_rows=[[0, 0, 4]])
+    lattice = spin_closure([[1, 0, 0], [0, 0, 4]], [mat])
     assert lattice.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    lattice = spin_closure([[2, 0, 0]], [mat], base_rows=[[0, 0, 4]])
+    lattice = spin_closure([[2, 0, 0], [0, 0, 4]], [mat])
     assert lattice.rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
 

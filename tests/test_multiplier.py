@@ -85,7 +85,7 @@ def test_image_sits_inside_the_multiplier():
 
 def test_spun_lattice_is_invariant_under_matrices():
     from lpres.covers import build_cover, trivial_system, impose_relators
-    from lpres.lattices import spin_closure
+    from lpres.lattices import hnf, spin_closure
     from lpres.presentations import adjust
 
     pres = load_catalog("grigorchuk")
@@ -94,11 +94,13 @@ def test_spun_lattice_is_invariant_under_matrices():
     for _ in range(3):
         cover = build_cover(system)
         mats = cover.endomorphism_matrices()
-        lattice = spin_closure(
-            cover.relator_rows(adj.iterated_consequences),
+        spun = spin_closure(
+            cover.relator_rows(adj.iterated_consequences) + cover.torsion_rows(),
             mats,
-            base_rows=cover.torsion_rows() + cover.relator_rows(adj.fixed_consequences),
             ncols=cover.central_dim,
+        )
+        lattice = hnf(
+            list(spun.rows) + cover.relator_rows(adj.fixed_consequences), cover.central_dim
         )
         for row in lattice.rows:
             for mat in mats:
@@ -190,3 +192,29 @@ if given is not None:
 def test_heisenberg_group_has_multiplier_z_squared():
     heis = parse_one("group heis { generators: a, b; fixed: [[a, b], a], [[a, b], b]; }")
     _assert_multiplier(heis, 2, AbelianInvariants(2, ()))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_dihedral_2_groups_have_multiplier_z2(k):
+    # the dihedral group of order 2^k has class k - 1 and M(G) = Z_2
+    dih = _group(["a", "b"], ["a^2", "b^2", "(a*b)^%d" % 2 ** (k - 1)])
+    _assert_multiplier(dih, k - 1, AbelianInvariants(0, (2,)))
+
+
+@pytest.mark.parametrize("k", range(3, 6))
+def test_generalized_quaternion_groups_have_trivial_multiplier(k):
+    # the quaternion group of order 2^k has class k - 1 and M(G) = 1
+    quat = _group(["a", "b"], ["a^%d" % 2 ** (k - 1), "b^2*a^-%d" % 2 ** (k - 2), "a^b*a"])
+    _assert_multiplier(quat, k - 1, AbelianInvariants(0, ()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_higher_heisenberg_groups(n):
+    # H_(2n+1) = <x_i, y_i, z | [x_i, y_i] = z central, other pairs
+    # commute> has M(G) = Z^(2n^2 - n - 1) for n >= 2
+    xs, ys = ["x%d" % i for i in range(n)], ["y%d" % i for i in range(n)]
+    defining = ["[%s, %s]" % pair for pair in zip(xs, ys)]
+    relators = [r + "*z^-1" for r in defining] + ["[z, %s]" % g for g in xs + ys]
+    relators += [r for r in _commutators(xs + ys) if r not in defining]
+    heis = _group(xs + ys + ["z"], relators)
+    _assert_multiplier(heis, 2, AbelianInvariants(2 * n * n - n - 1, ()))

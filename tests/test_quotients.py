@@ -128,7 +128,7 @@ def test_induced_endomorphism_validates():
     pres = load_catalog("grigorchuk")
     system = nilpotent_quotient(pres, 3)
     sigma = dict(pres.endomorphisms)["sigma"]
-    ims = induce_endomorphism(system, sigma, validate=True)
+    ims = induce_endomorphism(system, sigma)
     assert len(ims) == system.pc.ngens
     # the induced map tracks the free-level endomorphism on every word
     rng = random.Random(20240907)

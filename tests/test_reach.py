@@ -11,11 +11,6 @@ import pytest
 
 from lpres.cli import main
 
-BASILICA_CLOSED_FORM = (
-    "conjectures._basilica_torsion predicts Z^2 x Z_256 at c=12, but the computed "
-    "image is Z^2 x Z_2 x Z_256; from c=12 on the closed form lacks a cyclic factor"
-)
-
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
@@ -25,9 +20,8 @@ BASILICA_CLOSED_FORM = (
         ("twisted_twin", 12),
         ("grigorchuk_supergroup", 24),
         ("bsv", 9),
-        pytest.param(
-            "basilica", 12, marks=pytest.mark.xfail(reason=BASILICA_CLOSED_FORM, strict=True)
-        ),
+        # the class where the Z_8 factor of the level-1 window appears
+        ("basilica", 16),
     ],
 )
 def test_closed_form_holds_at_reach_class(group, max_class, capsys):
