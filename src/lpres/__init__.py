@@ -6,6 +6,7 @@ from .lattices import (
     AbelianInvariants,
     HNFBasis,
     hnf,
+    hnf_sparse,
     left_kernel,
     membership,
     smith_invariants,
@@ -53,6 +54,7 @@ __all__ = [
     "commutator",
     "dwyer_range",
     "hnf",
+    "hnf_sparse",
     "impose_relators",
     "induce_endomorphism",
     "left_kernel",

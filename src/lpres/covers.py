@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from .lattices import (
     AbelianInvariants,
     HNFBasis,
-    _SparseEchelon,
     hnf,
+    hnf_sparse,
     left_kernel,
     matrix_product,
     spin_closure,
@@ -327,8 +327,9 @@ def build_cover(system: QuotientSystem) -> Cover:
         images[s] = dict(omega)
         images[s][g] = 1
 
-    # overlap checks become relations between the central generators
-    echelon = _SparseEchelon()
+    # overlap checks become relations between the central generators,
+    # collected first so that hnf_sparse can insert them right to left
+    rows = []
     for kind, idx, lhs, rhs in pc.overlap_checks(prune=True):
         if lhs == rhs:
             continue
@@ -342,9 +343,8 @@ def build_cover(system: QuotientSystem) -> Cover:
                         % (kind, idx)
                     )
                 row[k - cs] = d
-        if row:
-            echelon.insert(row)
-    basis = echelon.canonical(pc.ngens - cs)
+        rows.append(row)
+    basis = hnf_sparse(rows, pc.ngens - cs)
 
     # every enforced row must be invisible in the cover's abelianization
     if any(any(v) for v in matrix_product(basis.rows, pc.abelian_image[cs:])):

@@ -1,16 +1,24 @@
 """Exact integer lattice arithmetic.
 
-Everything here takes dense integer row vectors (lists of ints) with
-arbitrary-precision arithmetic.  The one echelon behind them works on
-sparse rows and keeps them in canonical HNF after every insert, so
-reading its result off only makes the rows dense, and reducing a vector
-against it gives the vector's canonical remainder modulo the lattice,
-which is zero exactly for members.  The central objects are row-style
-Hermite normal forms, used as canonical bases of subgroups of Z^n, and
-Smith invariants, used to name finitely generated abelian groups.  Both
-come from the echelon: Smith invariants alternate row and column HNF
-until the matrix is diagonal, and the invariants of a subgroup of a
-quotient of Z^n are read off a left kernel.
+Everything here takes integer row vectors with arbitrary-precision
+arithmetic: dense lists of ints, or sparse dicts {column: entry} through
+`hnf_sparse`.  The one echelon behind them works on sparse rows and
+keeps them in canonical HNF after every insert, so reading its result
+off only makes the rows dense, and reducing a vector against it gives
+the vector's canonical remainder modulo the lattice, which is zero
+exactly for members.  The central objects are row-style Hermite normal
+forms, used as canonical bases of subgroups of Z^n, and Smith
+invariants, used to name finitely generated abelian groups.  Both come
+from the echelon: Smith invariants alternate row and column HNF until
+the matrix is diagonal, and the invariants of a subgroup of a quotient
+of Z^n are read off a left kernel.
+
+Every echelon is built from its rows in one place, `_echelon` behind
+`hnf_sparse`, which inserts them by decreasing leading column.  Storing a
+new pivot reduces its column in every row with a smaller pivot; fed
+right to left, a stored row finds few such rows, so the back-reduction
+that keeps the echelon canonical stays small.  The canonical HNF is
+unique, so the order changes no result.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -91,9 +99,10 @@ class _SparseEchelon:
     entry at another row's pivot column lies in [0, pivot), so a unit
     pivot column is clear in every other row.  Keeping the entries
     reduced also stops the coefficient growth of unreduced integer
-    elimination.  This is the one echelon behind hnf, left_kernel,
-    spin_closure, smith_invariants and subgroup_invariants, and
-    build_cover feeds it the consistency rows of a cover directly.
+    elimination.  This is the one echelon behind hnf_sparse, hnf,
+    left_kernel, spin_closure, smith_invariants and subgroup_invariants;
+    `_echelon` builds it from rows, and spin_closure alone inserts into
+    it afterwards, one remainder at a time.
     """
 
     def __init__(self):
@@ -184,24 +193,50 @@ class _SparseEchelon:
         return HNFBasis(tuple(dense), tuple(pivots), ncols)
 
 
+def hnf_sparse(rows: Iterable[dict[int, int]], ncols: int) -> HNFBasis:
+    """Canonical Hermite normal form of the lattice spanned by sparse rows.
+
+    Each row maps columns in [0, ncols) to entries; empty rows span
+    nothing and are dropped.
+    """
+    return _echelon(rows, ncols).canonical(ncols)
+
+
+def _echelon(rows: Iterable[dict[int, int]], ncols: int) -> _SparseEchelon:
+    """An echelon holding the lattice spanned by sparse rows in Z^ncols,
+    inserted by decreasing leading column."""
+    nonzero = []
+    for row in rows:
+        r = {k: v for k, v in row.items() if v}
+        if r:
+            if min(r) < 0 or max(r) >= ncols:
+                raise ValueError("row column outside [0, %d)" % ncols)
+            nonzero.append(r)
+    nonzero.sort(key=min, reverse=True)
+    echelon = _SparseEchelon()
+    for r in nonzero:
+        echelon.insert(r)
+    return echelon
+
+
+def _sparse(rows: Iterable[Sequence[int]], ncols: int) -> list[dict[int, int]]:
+    """Dense rows of length ncols as sparse rows."""
+    out = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("rows of unequal length")
+        out.append({j: x for j, x in enumerate(r) if x})
+    return out
+
+
 def hnf(rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> HNFBasis:
     """Canonical Hermite normal form of the lattice spanned by the rows."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols is required for an empty generating set")
         ncols = len(rows[0])
-    return _echelon(rows, ncols).canonical(ncols)
-
-
-def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> _SparseEchelon:
-    """An echelon holding the lattice spanned by rows of length ncols."""
-    echelon = _SparseEchelon()
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("rows of unequal length")
-        echelon.insert(dict(enumerate(r)))
-    return echelon
+    return hnf_sparse(_sparse(rows, ncols), ncols)
 
 
 def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
@@ -228,22 +263,17 @@ def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
 
 def left_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of {x : x * matrix = 0}, as canonical HNF rows."""
-    rows = [list(r) for r in matrix]
+    rows = list(matrix)
     if not rows:
         return []
     ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("rows of unequal length")
     # The lattice of [M | I] is {(xM, x)}; the rows of its HNF that are
     # zero on the M block span its meet with {(0, x)}, the kernel, and
     # their entries past column ncols already form a canonical HNF.
-    echelon = _SparseEchelon()
-    for i, r in enumerate(rows):
-        row = dict(enumerate(r))
+    sparse = _sparse(rows, ncols)
+    for i, row in enumerate(sparse):
         row[ncols + i] = 1
-        echelon.insert(row)
-    basis = echelon.canonical(ncols + len(rows))
+    basis = hnf_sparse(sparse, ncols + len(rows))
     return [list(r[ncols:]) for r, p in zip(basis.rows, basis.pivots) if p >= ncols]
 
 
@@ -383,7 +413,7 @@ def spin_closure(
         if not seeds:
             raise ValueError("ncols is required for an empty seed set")
         ncols = len(seeds[0])
-    echelon = _echelon(seeds, ncols)
+    echelon = _echelon(_sparse(seeds, ncols), ncols)
     queue = seeds
     head = 0
     while head < len(queue):

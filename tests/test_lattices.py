@@ -16,6 +16,7 @@ from lpres.lattices import (
     AbelianInvariants,
     _SparseEchelon,
     hnf,
+    hnf_sparse,
     left_kernel,
     matrix_product,
     membership,
@@ -139,6 +140,27 @@ def test_lattice_functions_match_the_reference_echelon():
             seeds, base = rows[:2], rows[2:4]
             got = spin_closure(seeds + base, mats, ncols=n).rows
             assert got == reference_spin_closure(seeds + base, mats, [], n)
+
+
+def test_hnf_sparse_matches_the_reference_in_every_order():
+    rng = random.Random(2014)
+    for _ in range(600):
+        rows, n = oracle_input(rng)
+        rows += [[0] * n for _ in range(rng.randint(0, 2))]
+        expected = reference_hnf(rows, n)
+        # sparse rows, with an explicit zero entry in some of them
+        sparse = [{k: v for k, v in enumerate(row) if v or rng.random() < 0.1} for row in rows]
+        shuffled = list(sparse)
+        rng.shuffle(shuffled)
+        for order in (sparse, sparse[::-1], shuffled):
+            assert hnf_sparse(order, n).rows == expected
+
+
+def test_hnf_sparse_rejects_columns_outside_the_ambient_rank():
+    for row in ({3: 1}, {0: 1, 7: -2}, {-1: 4}):
+        with pytest.raises(ValueError):
+            hnf_sparse([{0: 2}, row], 3)
+    assert hnf_sparse([{0: 2}, {5: 0}, {}], 3).rows == ((2, 0, 0),)
 
 
 def assert_canonical_echelon(rows):
