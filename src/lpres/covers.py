@@ -286,46 +286,34 @@ def build_cover(system: QuotientSystem) -> Cover:
     defined_conj = {(d[1], d[2]) for d in pc.definitions if d[0] == "conj"}
     defined_free = {d[1] for d in pc.definitions if d[0] == "freetail"}
 
-    # one fresh central generator per non-defining power relation,
+    def fresh(definition: tuple, lhs_ab: list[int], tail: dict[int, int]) -> dict[int, int]:
+        """Add a central generator g for a relation lhs = tail, with the
+        abelian image of lhs minus the tail's, and return tail * g."""
+        ab = [x - y for x, y in zip(lhs_ab, _ab_of_nf(pc, tail))]
+        g = pc.add_generator(None, cover_class, definition, ab)
+        return {**tail, g: 1}
+
+    # the fresh generators are created in this order, which fixes the
+    # columns of the central section and so its HNF: one fresh central
+    # generator per non-defining power relation,
     for i in range(cs):
         o = pc.orders[i]
-        if o is None or i in defined_pow:
-            continue
-        tail = pc.power_tails.get(i, {})
-        ab = [o * x for x in pc.abelian_image[i]]
-        for t, x in enumerate(_ab_of_nf(pc, tail)):
-            ab[t] -= x
-        g = pc.add_generator(None, cover_class, ("pow", i), ab)
-        new_tail = dict(tail)
-        new_tail[g] = 1
-        pc.set_power_tail(i, new_tail)
+        if o is not None and i not in defined_pow:
+            ab = [o * x for x in pc.abelian_image[i]]
+            pc.set_power_tail(i, fresh(("pow", i), ab, pc.power_tails.get(i, {})))
 
     # ... per non-defining conjugation relation within the class bound,
     for i in range(cs):
         for j in range(i + 1, cs):
-            if (i, j) in defined_conj:
-                continue
-            if pc.weights[i] + pc.weights[j] > cover_class:
-                continue
-            tail = pc.conj.get((i, j), {})
-            ab = [-x for x in _ab_of_nf(pc, tail)]
-            g = pc.add_generator(None, cover_class, ("conj", i, j), ab)
-            new_tail = dict(tail)
-            new_tail[g] = 1
-            pc.set_conj_tail(i, j, new_tail)
+            if (i, j) not in defined_conj and pc.weights[i] + pc.weights[j] <= cover_class:
+                ab = [0] * pc.nfree
+                pc.set_conj_tail(i, j, fresh(("conj", i, j), ab, pc.conj.get((i, j), {})))
 
     # ... and per free generator that defines no quotient generator.
     for s in range(pc.nfree):
-        if s in defined_free:
-            continue
-        omega = images[s]
-        ab = [0] * pc.nfree
-        ab[s] = 1
-        for t, x in enumerate(_ab_of_nf(pc, omega)):
-            ab[t] -= x
-        g = pc.add_generator(None, cover_class, ("freetail", s), ab)
-        images[s] = dict(omega)
-        images[s][g] = 1
+        if s not in defined_free:
+            ab = [int(t == s) for t in range(pc.nfree)]
+            images[s] = fresh(("freetail", s), ab, images[s])
 
     # overlap checks become relations between the central generators,
     # collected first so that hnf_sparse can insert them right to left

@@ -406,13 +406,15 @@ def spin_closure(
     image whose remainder modulo the lattice is zero is a member, so
     its own images are combinations of images already queued, and a
     nonzero remainder is inserted and the image queued.  Processing is
-    breadth-first and deterministic.
+    breadth-first and deterministic.  Every matrix must be ncols x ncols.
     """
     seeds = [list(r) for r in seed_rows]
     if ncols is None:
         if not seeds:
             raise ValueError("ncols is required for an empty seed set")
         ncols = len(seeds[0])
+    if any(len(mat) != ncols or any(len(row) != ncols for row in mat) for mat in matrices):
+        raise ValueError("every matrix must be ncols x ncols")
     echelon = _echelon(_sparse(seeds, ncols), ncols)
     queue = seeds
     head = 0
@@ -421,8 +423,6 @@ def spin_closure(
         head += 1
         for mat in matrices:
             img = row_times_matrix(vec, mat)
-            if len(img) != ncols:
-                raise ValueError("matrix image length does not match ncols")
             remainder = echelon.reduce(dict(enumerate(img)))
             if remainder:
                 echelon.insert(remainder)

@@ -29,9 +29,18 @@ one pass per set bit, not |e| (Vaughan-Lee, "Collection from the
 left", J. Symbolic Comput. 9, 1990).  A syllable of the central block
 only adds to its exponent.
 
-Consistency of the relations is checked through the standard overlap
-tests; an inconsistent presentation makes the two collections of an
-overlap disagree, and the extension machinery turns those
+Consistency is checked on overlaps: triples a, b, c of one-syllable
+normal forms, each collected as (a*b)*c and as a*(b*c).  They are
+g_i * g_i^(o_i-1) * g_i for a finite order o_i ("pow"),
+g_j^(o_j-1) * g_j * g_i ("pow-conj") and g_j * g_i * g_i^(o_i-1)
+("conj-pow") for j > i, and g_k * g_j * g_i for k > j > i ("comm").
+The presentation is consistent if and only if every one of these
+agrees, as the other overlaps of the rewriting rules reduce to them
+(the consistency theorem for nilpotent pc presentations: Sims,
+"Computation with Finitely Presented Groups", 1994, the chapter on
+polycyclic groups; Vaughan-Lee 1984).  Conjugates by g_i^-1 are
+derived from the stored relations, not stored, so they need no
+overlap of their own.  The extension machinery turns the
 disagreements into relations between the central generators.
 """
 
@@ -298,72 +307,64 @@ class PcPresentation:
     def overlap_checks(
         self, prune: bool = True
     ) -> Iterator[tuple[str, tuple[int, ...], dict[int, int], dict[int, int]]]:
-        """Collect each overlap of rewriting rules in its two possible orders.
+        """Collect each overlap a*b*c as lhs = (a*b)*c and rhs = a*(b*c).
 
-        Yields (kind, indices, lhs, rhs); the presentation is consistent
-        when every pair agrees.  Commutator triples in which no pair has
-        a stored conjugation relation commute pairwise and are always
-        skipped.  With prune set, two more kinds of overlap are skipped,
-        as they always agree: those that involve a generator of the
-        central block (the top weight, whose generators have no
-        conjugation relations), and triples whose weight sum exceeds
-        nclass (they lie in a trivial section of the group).
+        Yields (kind, indices, lhs, rhs) for the triples of the
+        consistency theorem (see the module docstring): pow (i) is
+        g_i, g_i^(o_i-1), g_i; pow-conj (j, i) is g_j^(o_j-1), g_j, g_i;
+        conj-pow (j, i) is g_j, g_i, g_i^(o_i-1); comm (k, j, i) is
+        g_k, g_j, g_i.  The presentation is consistent when every pair
+        agrees.  Each product of two syllables is collected once per
+        call: g_j*g_i is b*c of the pow-conj overlap and of every comm
+        triple over (i, j), and a*b of the conj-pow overlap.
+        """
+        mul = self.mul
+        products: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, int]] = {}
+
+        def product(x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
+            if (x, y) not in products:
+                products[(x, y)] = mul(dict([x]), dict([y]))
+            return products[(x, y)]
+
+        for kind, idx, a, b, c in self._overlap_triples(prune):
+            yield kind, idx, mul(product(a, b), dict([c])), mul(dict([a]), product(b, c))
+
+    def _overlap_triples(
+        self, prune: bool
+    ) -> Iterator[tuple[str, tuple[int, ...], tuple[int, int], tuple[int, int], tuple[int, int]]]:
+        """The overlaps of overlap_checks as (kind, indices, a, b, c),
+        each of a, b, c a syllable (g, e) standing for g^e.
+
+        Commutator triples in which no pair has a stored conjugation
+        relation commute pairwise and are always skipped.  With prune
+        set, two more kinds of overlap are skipped, as they always agree:
+        those that involve a generator of the central block (the top
+        weight, whose generators have no conjugation relations), and
+        commutator triples whose weight sum exceeds nclass (they lie in a
+        trivial section of the group).
         """
         n = self._central_bound() if prune else self.ngens
-        bound = self.nclass
-        conj = self.conj
-        # power overlaps g_i^(o_i + 1)
+        orders, weights, conj, bound = self.orders, self.weights, self.conj, self.nclass
         for i in range(n):
-            o = self.orders[i]
-            if o is None:
-                continue
-            tail = self.power_tails.get(i, {})
-            lhs = self.mul({i: 1}, tail)
-            rhs = self.mul(tail, {i: 1})
-            yield ("pow", (i,), lhs, rhs)
-        # power/conjugation overlaps g_j^(o_j) g_i and g_j g_i^(o_i)
-        for i in range(n):
+            oi = orders[i]
+            if oi is not None:
+                yield "pow", (i,), (i, 1), (i, oi - 1), (i, 1)
             for j in range(i + 1, n):
-                oj = self.orders[j]
+                oj = orders[j]
                 if oj is not None:
-                    tail = self.power_tails.get(j, {})
-                    lhs = self.mul(tail, {i: 1})
-                    rhs = self.mul(self.pow_nf({j: 1}, oj - 1), self.mul({j: 1}, {i: 1}))
-                    yield ("pow-conj", (j, i), lhs, rhs)
-                oi = self.orders[i]
+                    yield "pow-conj", (j, i), (j, oj - 1), (j, 1), (i, 1)
                 if oi is not None:
-                    tail = self.power_tails.get(i, {})
-                    lhs = self.mul({j: 1}, tail)
-                    rhs = self.mul(self.mul({j: 1}, {i: 1}), self.pow_nf({i: 1}, oi - 1))
-                    yield ("conj-pow", (j, i), lhs, rhs)
-        # commutator overlaps g_k g_j g_i for k > j > i
-        for i in range(n):
-            wi = self.weights[i]
-            for j in range(i + 1, n):
-                wij = wi + self.weights[j]
-                if prune and wij + self.weights[j] > bound:
-                    # weights ascend with the index, so every k > j is pruned too
-                    break
+                    yield "conj-pow", (j, i), (j, 1), (i, 1), (i, oi - 1)
+                wij = weights[i] + weights[j]
                 for k in range(j + 1, n):
-                    if prune and wij + self.weights[k] > bound:
+                    if prune and wij + weights[k] > bound:
+                        # weights ascend with the index, so every later k is pruned too
                         break
-                    if (i, j) not in conj and (i, k) not in conj and (j, k) not in conj:
-                        continue
-                    lhs = self.mul(self.mul({k: 1}, {j: 1}), {i: 1})
-                    rhs = self.mul({k: 1}, self.mul({j: 1}, {i: 1}))
-                    yield ("comm", (k, j, i), lhs, rhs)
-
-    def consistency_failures(
-        self, prune: bool = True
-    ) -> list[tuple[str, tuple[int, ...], dict[int, int], dict[int, int]]]:
-        return [
-            (kind, idx, lhs, rhs)
-            for kind, idx, lhs, rhs in self.overlap_checks(prune=prune)
-            if lhs != rhs
-        ]
+                    if (i, j) in conj or (i, k) in conj or (j, k) in conj:
+                        yield "comm", (k, j, i), (k, 1), (j, 1), (i, 1)
 
     def is_consistent(self, prune: bool = True) -> bool:
-        return not self.consistency_failures(prune=prune)
+        return all(lhs == rhs for _, _, lhs, rhs in self.overlap_checks(prune=prune))
 
     # ------------------------------------------------------------ invariants
 

@@ -317,6 +317,18 @@ def test_spin_closure_swap():
     assert lattice.rows == ((1, 0),)
 
 
+def test_spin_closure_rejects_matrices_of_the_wrong_shape():
+    # a 1 x 2 matrix would drop coordinate 1 of every vector it spins
+    with pytest.raises(ValueError):
+        spin_closure([[0, 1]], [[[1, 0]]], ncols=2)
+    with pytest.raises(ValueError):
+        spin_closure([[0, 1]], [[[1, 0], [0, 1], [0, 0]]], ncols=2)
+    with pytest.raises(ValueError):
+        spin_closure([[0, 1]], [[[1, 0], [0, 1, 0]]], ncols=2)
+    with pytest.raises(ValueError):
+        spin_closure([[1, 0]], [[[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]])
+
+
 def test_spin_closure_respects_base():
     # seeds spin into new directions; a seed the matrix kills adds only itself
     mat = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
