@@ -110,72 +110,41 @@ def lift_through_definitions(
 
 
 def _apply_central_rows(pc: PcPresentation, images: list[dict[int, int]], basis: HNFBasis):
-    """Impose HNF relations on the central block, then renumber.
+    """Quotient the central block, read as Z^ncols, by the lattice of
+    basis, then renumber: one pass, with no collection.
 
-    A pivot of 1 eliminates its generator (substituting everywhere), a
-    pivot d > 1 becomes a relative order with the rest of the row as
-    power tail.  Rows are processed by descending pivot column so each
-    tail is canonicalized against already-final later generators.
+    The normal form of a block element is its canonical remainder
+    modulo the HNF: zero at a unit pivot column, in [0, d) at a pivot
+    d > 1, and any integer at a column without a pivot.  So a unit
+    pivot eliminates its generator, a pivot d > 1 at column p becomes a
+    relative order whose power tail is the remainder of d * e_p, and
+    every stored tail and image keeps its part below the block and
+    takes the remainder of its block part.  The orders and power tails
+    the block had before are replaced, so the lattice must contain the
+    relations they stood for.
     """
     cs = pc.ngens - basis.ncols
-    elim: dict[int, dict[int, int]] = {}
-    for row, p in reversed(list(zip(basis.rows, basis.pivots))):
-        g = cs + p
-        d = row[p]
-        raw = {cs + l: -row[l] for l in range(p + 1, basis.ncols) if row[l]}
-        if d == 1:
-            elim[g] = pc.mul({}, raw)
-        else:
-            pc.orders[g] = d
-            pc.set_power_tail(g, pc.mul({}, raw))
+    pivot = {p: row[p] for row, p in zip(basis.rows, basis.pivots)}
+    kept = [c for c in range(basis.ncols) if pivot.get(c) != 1]
+    renumber = {c: cs + t for t, c in enumerate(kept)}
 
-    if elim:
+    def normal(nf: dict[int, int]) -> dict[int, int]:
+        out = {g: e for g, e in nf.items() if g < cs}
+        block = {g - cs: e for g, e in nf.items() if g >= cs}
+        if block:
+            out.update((renumber[c], e) for c, e in basis.remainder(block).items())
+        return out
 
-        def fix(nf: dict[int, int]) -> dict[int, int]:
-            hits = [g for g in nf if g in elim]
-            if not hits:
-                return nf
-            out = {g: e for g, e in nf.items() if g not in elim}
-            for g in hits:
-                e = nf[g]
-                out = pc.mul(out, {l: e * f for l, f in elim[g].items()})
-            return out
-
-        for i in list(pc.power_tails):
-            pc.power_tails[i] = fix(pc.power_tails[i])
-            if not pc.power_tails[i]:
-                del pc.power_tails[i]
-        for key in list(pc.conj):
-            pc.conj[key] = fix(pc.conj[key])
-            if not pc.conj[key]:
-                del pc.conj[key]
-        for s in range(len(images)):
-            images[s] = fix(images[s])
-
-    # renumber compactly
-    keep = [g for g in range(pc.ngens) if g not in elim]
-    remap = {old: new for new, old in enumerate(keep)}
-
-    def remap_nf(nf: dict[int, int]) -> dict[int, int]:
-        return {remap[g]: e for g, e in nf.items()}
-
-    pc.orders = [pc.orders[g] for g in keep]
+    tails = {i: normal(t) for i, t in pc.power_tails.items() if i < cs}
+    tails.update((renumber[p], normal({cs + p: d})) for p, d in pivot.items() if d > 1)
+    pc.power_tails = {i: t for i, t in tails.items() if t}
+    pc.conj = {k: t for k, t in ((k, normal(t)) for k, t in pc.conj.items()) if t}
+    images[:] = [normal(im) for im in images]
+    keep = list(range(cs)) + [cs + c for c in kept]
+    pc.orders = pc.orders[:cs] + [pivot.get(c) for c in kept]
     pc.weights = [pc.weights[g] for g in keep]
     pc.abelian_image = [pc.abelian_image[g] for g in keep]
-    pc.power_tails = {remap[i]: remap_nf(t) for i, t in pc.power_tails.items() if i in remap}
-    pc.conj = {(remap[i], remap[j]): remap_nf(t) for (i, j), t in pc.conj.items()}
-    defs = []
-    for g in keep:
-        d = pc.definitions[g]
-        if d[0] == "conj":
-            defs.append(("conj", remap[d[1]], remap[d[2]]))
-        elif d[0] == "pow":
-            defs.append(("pow", remap[d[1]]))
-        else:
-            defs.append(d)
-    pc.definitions = defs
-    for s in range(len(images)):
-        images[s] = remap_nf(images[s])
+    pc.definitions = [pc.definitions[g] for g in keep]
     pc.clear_caches()
 
 
@@ -258,7 +227,9 @@ class Cover:
         iterated relator values and the torsion of the section under the
         lifted endomorphisms, plus the fixed relator values.  The lifted
         matrices map the torsion into itself, so spinning it with the
-        iterated values closes them modulo the torsion."""
+        iterated values closes them modulo the torsion.  The lattice
+        contains the torsion, so imposing it replaces the cover's orders
+        on the central block."""
         spun = spin_closure(
             self.relator_rows(self.pres.iterated) + self.torsion_rows(),
             self.endomorphism_matrices(),
@@ -343,14 +314,11 @@ def build_cover(system: QuotientSystem) -> Cover:
 
 
 def impose_relators(cover: Cover) -> QuotientSystem:
-    """Quotient the cover by the spun relator values: the next tower step."""
-    lattice = cover.relator_lattice
+    """Quotient the cover by its relator lattice: the next tower step.
+
+    The lattice contains the cover's torsion, so the orders it puts on
+    the central block replace the cover's."""
     pc = cover.pc.copy()
-    images = [dict(im) for im in cover.lift_images]
-    for t in range(cover.central_dim):
-        g = cover.base_ngens + t
-        pc.orders[g] = None
-        pc.power_tails.pop(g, None)
-    pc.clear_caches()
-    _apply_central_rows(pc, images, lattice)
+    images = list(cover.lift_images)
+    _apply_central_rows(pc, images, cover.relator_lattice)
     return QuotientSystem(cover.pres, pc, images)

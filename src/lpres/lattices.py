@@ -28,7 +28,7 @@ exactly when they produce identical HNF rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -69,15 +69,23 @@ def matrix_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
 
 @dataclass(frozen=True)
 class HNFBasis:
-    """Canonical basis of a sublattice of Z^ncols."""
+    """Canonical basis of a sublattice of Z^ncols, with the sparse
+    echelon it was read off."""
 
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     ncols: int
+    _echelon: _SparseEchelon = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def remainder(self, row: dict[int, int]) -> dict[int, int]:
+        """The canonical remainder of a sparse row modulo the lattice:
+        zero at a unit pivot column, in [0, d) at a pivot d, and empty
+        exactly when the row lies in the lattice."""
+        return self._echelon.reduce(row)
 
 
 def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
@@ -102,7 +110,8 @@ class _SparseEchelon:
     elimination.  This is the one echelon behind hnf_sparse, hnf,
     left_kernel, spin_closure, smith_invariants and subgroup_invariants;
     `_echelon` builds it from rows, and spin_closure alone inserts into
-    it afterwards, one remainder at a time.
+    it afterwards, one remainder at a time.  The HNFBasis read off it
+    keeps it, to reduce against it in HNFBasis.remainder.
     """
 
     def __init__(self):
@@ -190,7 +199,7 @@ class _SparseEchelon:
             for k, v in self.rows[p].items():
                 row[k] = v
             dense.append(tuple(row))
-        return HNFBasis(tuple(dense), tuple(pivots), ncols)
+        return HNFBasis(tuple(dense), tuple(pivots), ncols, self)
 
 
 def hnf_sparse(rows: Iterable[dict[int, int]], ncols: int) -> HNFBasis:

@@ -131,15 +131,35 @@ def test_grigorchuk_class1_cover():
     assert pc.is_consistent(prune=False)
 
 
+def assert_normal_forms(pc, images):
+    """Every stored power tail, conjugation tail and image is a normal
+    form: exponents of finite-order generators lie in [0, order), and a
+    tail uses only generators above its own."""
+
+    def check(nf, above):
+        for g, e in nf.items():
+            assert g > above
+            assert pc.orders[g] is None or 0 <= e < pc.orders[g]
+
+    for i, tail in pc.power_tails.items():
+        check(tail, i)
+    for (_, j), tail in pc.conj.items():
+        check(tail, j)
+    for image in images:
+        check(image, -1)
+
+
 @pytest.mark.parametrize("name", ["grigorchuk", "twisted_twin", "basilica", "bsv"])
 def test_enforced_covers_are_consistent(name):
     pres = load_catalog(name)
     system = trivial_system(pres)
-    for _ in range(3):
+    for _ in range({"basilica": 8, "bsv": 6}.get(name, 3)):
         cover = build_cover(system)
         assert cover.pc.is_consistent(prune=False)
+        assert_normal_forms(cover.pc, cover.lift_images)
         system = impose_relators(cover)
         assert system.pc.is_consistent(prune=False)
+        assert_normal_forms(system.pc, system.images)
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "twisted_twin", "grigorchuk_supergroup", "basilica", "bsv"])
