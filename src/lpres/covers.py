@@ -89,16 +89,28 @@ def lift_through_definitions(
 
     Each generator is resolved through its defining relation, in index
     order, so only images of earlier generators and of the free
-    generators' images are ever needed.
+    generators' images are ever needed.  The image of a commutator
+    definition [g_j, g_i] is built from the inverses of the images of
+    g_i and g_j, and each image is inverted at most once per call.
     """
     ims: list[dict[int, int]] = []
+    inverses: dict[int, dict[int, int]] = {}
+
+    def inverse(h: int) -> dict[int, int]:
+        if h not in inverses:
+            inverses[h] = pc.inv(ims[h])
+        return inverses[h]
+
     for g in range(pc.ngens):
         d = pc.definitions[g]
         # each definition reads prefix * g = value, with prefix the tail minus g
         if d[0] == "freetail":
             tail, value = images[d[1]], pc.substitute(images, endo.images[d[1]].syllables)
         elif d[0] == "conj":
-            tail, value = pc.conj[(d[1], d[2])], pc.comm_nf(ims[d[2]], ims[d[1]])
+            i, j = d[1], d[2]
+            # [g_j, g_i] = (g_j^-1 * g_i^-1) * (g_j * g_i)
+            tail = pc.conj[(i, j)]
+            value = pc.mul(pc.mul(inverse(j), inverse(i)), pc.mul(ims[j], ims[i]))
         elif d[0] == "pow":
             tail, value = pc.power_tails.get(d[1], {}), pc.pow_nf(ims[d[1]], pc.orders[d[1]])
         else:

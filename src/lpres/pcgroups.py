@@ -27,7 +27,12 @@ generators under it: a syllable g^e with any other exponent is split
 into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
 one pass per set bit, not |e| (Vaughan-Lee, "Collection from the
 left", J. Symbolic Comput. 9, 1990).  A syllable of the central block
-only adds to its exponent.
+only adds to its exponent.  The blocks of syllables that collection
+pushes again and again are collected once per presentation state: the
+power tail of g to the power of a carry, and the image of g_j under
+g^(+-2^k) to the power of its exponent, are kept as syllable lists
+beside the cached images, and all of them are dropped whenever a
+relation changes (set_power_tail, set_conj_tail, clear_caches).
 
 Consistency is checked on overlaps: triples a, b, c of one-syllable
 normal forms, each collected as (a*b)*c and as a*(b*c).  They are
@@ -67,7 +72,7 @@ class PcPresentation:
         "conj",
         "definitions",
         "abelian_image",
-        "_conj_cache",
+        "_cache",
     )
 
     def __init__(self, nfree: int):
@@ -78,7 +83,11 @@ class PcPresentation:
         self.conj: dict[tuple[int, int], dict[int, int]] = {}
         self.definitions: list[tuple] = []
         self.abelian_image: list[tuple[int, ...]] = []
-        self._conj_cache: dict[tuple[int, int, int], dict[int, int]] = {}
+        # cleared whenever a relation changes:
+        #   (g, s, j)     conj_gen_nf(g, s, j)
+        #   (g, s, j, f)  its power f, as syllables to push
+        #   (g, carry)    the power tail of g to the power carry, likewise
+        self._cache: dict[tuple[int, ...], dict[int, int] | list[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------ structure
 
@@ -113,7 +122,7 @@ class PcPresentation:
             self.power_tails[i] = tail
         else:
             self.power_tails.pop(i, None)
-        self._conj_cache.clear()
+        self._cache.clear()
 
     def set_conj_tail(self, i: int, j: int, tail: dict[int, int]):
         if not i < j:
@@ -127,10 +136,10 @@ class PcPresentation:
             self.conj[(i, j)] = tail
         else:
             self.conj.pop((i, j), None)
-        self._conj_cache.clear()
+        self._cache.clear()
 
     def clear_caches(self):
-        self._conj_cache.clear()
+        self._cache.clear()
 
     def _central_bound(self) -> int:
         """Index of the first generator of the top weight: the central block."""
@@ -163,7 +172,10 @@ class PcPresentation:
         conjugated by g^(+-2^k) only: for any other e, g^e is split into
         g^low for the lowest set bit of e, collected now, and g^(e-low),
         pushed to follow the conjugated segment.  A central g only adds
-        to its exponent and pushes its tail times the carry.
+        to its exponent and pushes its tail times the carry.  The power
+        tail to the power of a carry, and each conjugated syllable of
+        the segment, are collected once and then taken from the cache
+        until a relation changes.
         """
         cs = self._central_bound()
         orders, tails = self.orders, self.power_tails
@@ -196,11 +208,11 @@ class PcPresentation:
             if segment:
                 stack += self._conjugate_syllables(g, e, segment)
             if carry and g in tails:
-                if g < cs and carry != 1:
-                    stack += sorted(self.pow_nf(tails[g], carry).items(), reverse=True)
+                if g < cs:
+                    stack += self._pushed_power((g, carry), tails[g], carry)
                 else:
-                    # the tail itself, or a central tail, whose power
-                    # scales its exponents as it commutes
+                    # a central tail, whose power scales its exponents
+                    # as it commutes
                     stack += sorted(((h, carry * f) for h, f in tails[g].items()), reverse=True)
         return out
 
@@ -216,8 +228,17 @@ class PcPresentation:
                 # g_j commutes with g_g^s, so its power is g_j^f
                 out.append((j, f))
             else:
-                out += sorted((image if f == 1 else self.pow_nf(image, f)).items(), reverse=True)
+                out += self._pushed_power((g, s, j, f), image, f)
         return out
+
+    def _pushed_power(self, key: tuple[int, ...], nf: dict[int, int], k: int) -> list[tuple[int, int]]:
+        """Syllables of nf^k in reverse order, to be pushed on a stack,
+        collected once under key until a relation changes."""
+        syllables = self._cache.get(key)
+        if syllables is None:
+            power = nf if k == 1 else self.pow_nf(nf, k)
+            syllables = self._cache[key] = sorted(power.items(), reverse=True)
+        return syllables
 
     def inv(self, u: dict[int, int]) -> dict[int, int]:
         return self._collect({}, [(g, -u[g]) for g in sorted(u)])
@@ -250,7 +271,7 @@ class PcPresentation:
         cold level costs no stack depth, and every level is cached
         until a tail changes.
         """
-        cache = self._conj_cache
+        cache = self._cache
         cached = cache.get((g, s, j))
         if cached is not None:
             return cached

@@ -83,6 +83,15 @@ class LPresentation:
 # Each level of nested words costs the word grammar three stack frames;
 # deeper input is rejected well before Python's recursion limit.
 MAX_NESTING = 100
+# A power, conjugate, commutator or product may not build a word of
+# more syllables: every syllable of a relator is collected at every
+# class, and a few characters of nested input can otherwise ask for
+# more syllables than fit in memory.
+MAX_WORD_LENGTH = 100_000
+# Larger exponent literals are rejected as input errors.  Collection and
+# the lattices take exponents of any size, so the bound only keeps a
+# mistyped exponent from becoming a relative order of hundreds of bits.
+MAX_EXPONENT = 10**15
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,14 @@ class _Parser:
         except ValueError:
             # more digits than the interpreter converts
             self.fail("integer literal too long", tok)
+        if value > MAX_EXPONENT:
+            self.fail("exponent larger than %d" % MAX_EXPONENT, tok)
         return -value if negative else value
+
+    def check_length(self, length: int, tok: _Token):
+        """Fail at tok before a word of more than MAX_WORD_LENGTH syllables is built."""
+        if length > MAX_WORD_LENGTH:
+            self.fail("word longer than %d syllables" % MAX_WORD_LENGTH, tok)
 
     def parse_atom(self, alphabet: Alphabet) -> Word:
         tok = self.peek()
@@ -221,6 +237,7 @@ class _Parser:
             self.expect_sym(",")
             v = self.parse_word(alphabet)
             self.expect_sym("]")
+            self.check_length(2 * (len(u.syllables) + len(v.syllables)), tok)
             return commutator(u, v)
         self.fail("expected a generator, '(', '[' or 1")
 
@@ -231,12 +248,12 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "int" or (tok.kind == "sym" and tok.value == "-"):
                 n = self.parse_int()
-                try:
-                    w = w**n
-                except (OverflowError, MemoryError):
-                    self.fail("exponent too large to expand", tok)
+                self.check_length(w.power_length(n), tok)
+                w = w**n
             else:
-                w = w.conjugate(self.parse_atom(alphabet))
+                v = self.parse_atom(alphabet)
+                self.check_length(len(w.syllables) + 2 * len(v.syllables), tok)
+                w = w.conjugate(v)
         return w
 
     def parse_word(self, alphabet: Alphabet) -> Word:
@@ -245,8 +262,10 @@ class _Parser:
         self.depth += 1
         w = self.parse_factor(alphabet)
         while self.at_sym("*"):
-            self.advance()
-            w = w * self.parse_factor(alphabet)
+            tok = self.advance()
+            v = self.parse_factor(alphabet)
+            self.check_length(len(w.syllables) + len(v.syllables), tok)
+            w = w * v
         self.depth -= 1
         return w
 

@@ -65,6 +65,10 @@ def _reduce_runs(alphabet: Alphabet, runs: Iterable[tuple[int, int]]) -> tuple[t
     return tuple((g, e) for g, e in out)
 
 
+def _inverse(syllables: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((g, -e) for g, e in reversed(syllables))
+
+
 class Word:
     """A freely reduced word over an :class:`Alphabet`.
 
@@ -94,13 +98,40 @@ class Word:
         return Word(self.alphabet, self.syllables + other.syllables)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word(self.alphabet, _inverse(self.syllables))
+
+    def _cyclic_split(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(p, c) with self = p * c * p^-1 and c cyclically reduced."""
+        s = self.syllables
+        i, j = 0, len(s) - 1
+        while i < j and s[i][0] == s[j][0]:
+            (g, x), (_, y) = s[i], s[j]
+            if x + y:
+                # p * g^x * m * g^y * p^-1 = (p * g^x) * (m * g^(x+y)) * (p * g^x)^-1
+                return s[: i + 1], s[i + 1 : j] + ((g, x + y),)
+            i, j = i + 1, j - 1
+        return s[:i], s[i : j + 1]
+
+    def power_length(self, n: int) -> int:
+        """An upper bound on the syllables of self**n, found without building it."""
+        prefix, core = self._cyclic_split()
+        if n == 0 or not core:
+            return 0
+        return 2 * len(prefix) + (1 if len(core) == 1 else len(core) * abs(n))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
+        """p * c^n * p^-1 for self = p * c * p^-1 with c cyclically
+        reduced, so a core of one syllable g^e gives g^(e*n) and no
+        syllable is repeated that reduction would cancel."""
+        prefix, core = self._cyclic_split()
+        if n == 0 or not core:
             return Word(self.alphabet)
-        base = self if n > 0 else self.inverse()
-        return Word(self.alphabet, base.syllables * abs(n))
+        if len(core) == 1:
+            ((g, e),) = core
+            power = ((g, e * n),)
+        else:
+            power = (core if n > 0 else _inverse(core)) * abs(n)
+        return Word(self.alphabet, prefix + power + _inverse(prefix))
 
     def conjugate(self, by: "Word") -> "Word":
         """self**by in the exponent convention w^v = v^-1 * w * v."""
@@ -162,8 +193,7 @@ class FreeEndomorphism:
             raise ValueError("word over a different alphabet")
         runs: list[tuple[int, int]] = []
         for g, e in word.syllables:
-            img = self.images[g] if e > 0 else self.images[g].inverse()
-            runs.extend(img.syllables * abs(e))
+            runs.extend((self.images[g] ** e).syllables)
         return Word(self.alphabet, runs)
 
     def matrix(self) -> list[list[int]]:

@@ -255,6 +255,33 @@ def test_huge_exponent_is_a_parse_error(tmp_path, capsys, exponent):
     assert "set_int_max_str_digits" not in err
 
 
+def test_power_of_a_conjugate_parses_to_three_syllables():
+    pres = parse_one("group g { generators: a, b; fixed: (b^a)^1000000000000; }")
+    assert pres.fixed[0].syllables == ((0, -1), (1, 10**12), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "(a*b)^300000",
+        # each factor is short enough, their product is not
+        "*".join(["(a*b)^30000"] * 4),
+        # a commutator doubles the length of its arguments at every level
+        "[" * 30 + "a" + ", b]" * 30,
+        "(b^((a*b)^30000))^((a*b)^30000)",
+    ],
+    ids=["power", "product", "commutators", "conjugates"],
+)
+def test_overlong_word_is_a_parse_error(tmp_path, capsys, word):
+    path = tmp_path / "long.lp"
+    path.write_text("group long {\n  generators: a, b;\n  fixed: %s;\n}\n" % word)
+    code, _, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert code == 1
+    assert "line 3" in err
+    assert "longer than" in err
+    assert "Traceback" not in err
+
+
 def test_million_exponent_reaches_class_four(tmp_path, capsys):
     # collection conjugates by a^e in about log2(e) passes, not e of them
     path = tmp_path / "million.lp"

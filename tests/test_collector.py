@@ -11,6 +11,7 @@ inside the central block.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from collector_oracle import ReferenceCollector
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpres.covers import build_cover
+from lpres.covers import _apply_central_rows, build_cover
 from lpres.presentations import load_catalog, parse_one
 from lpres.quotients import nilpotent_quotient
 
@@ -135,3 +136,52 @@ def test_cold_high_level_conjugation_needs_no_deep_stack():
     assert pc._conj_nf({1: 1}, 0, e) == {1: 1, c: sign * e}
     pc.clear_caches()
     assert pc._conj_nf({1: 1}, 0, -e) == {1: 1, c: -sign * e}
+
+
+def test_memo_is_cleared_when_a_relation_changes():
+    # the collector keeps powered tails and powered conjugates under the
+    # presentation state they were collected in: warm that memo in a
+    # changed state, restore the relation, and every product must again
+    # match a reference that has never seen the change
+    pres = parse_one(SOURCES["square_bc"])
+    cover = build_cover(nilpotent_quotient(pres, 2))
+    pc = cover.pc
+    rng = random.Random(5)
+
+    def sample():
+        elements = []
+        for _ in range(5):
+            u = {g: rng.randint(-2, 2) if o is None else rng.randrange(o) for g, o in enumerate(pc.orders)}
+            elements.append({g: e for g, e in u.items() if e})
+        return elements
+
+    def assert_matches(collector, elements):
+        for u in elements:
+            assert pc.inv(u) == collector.inv(u)
+            for k in (-3, 2, 3):
+                assert pc.pow_nf(u, k) == collector.pow_nf(u, k)
+            for v in elements:
+                assert pc.mul(u, v) == collector.mul(u, v)
+
+    def warm_in(change, undo):
+        # start cold, so that the memo is filled in the changed state
+        pc.clear_caches()
+        change()
+        assert_matches(pc, elements)
+        assert any(len(k) == 2 and k[1] not in (0, 1) for k in pc._cache), "no carry past 0, 1"
+        assert any(len(k) == 4 and k[3] not in (0, 1) for k in pc._cache), "no conjugate power"
+        undo()
+        assert_matches(ReferenceCollector(pc), elements)
+
+    elements = sample()
+    tail = pc.power_tails[0]
+    warm_in(lambda: pc.set_power_tail(0, dict(list(tail.items())[:1])), lambda: pc.set_power_tail(0, tail))
+    (i, j), conj_tail = min(pc.conj.items())
+    warm_in(lambda: pc.set_conj_tail(i, j, {}), lambda: pc.set_conj_tail(i, j, conj_tail))
+
+    # the central block: impose the relator lattice on the warmed cover
+    # in place, so that generators are dropped and renumbered under it
+    assert_matches(pc, elements)
+    _apply_central_rows(pc, cover.lift_images, cover.relator_lattice)
+    elements = sample()
+    assert_matches(ReferenceCollector(pc), elements)

@@ -9,9 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# conjecture_scan.py is left out: it recomputes long stretches of every
-# table and takes several times longer than the three below together.
-DEMOS = ["adjusting_presentations.py", "nilpotent_quotients.py", "multiplier_quotients.py"]
+DEMOS = [
+    "adjusting_presentations.py",
+    "nilpotent_quotients.py",
+    "multiplier_quotients.py",
+    "conjecture_scan.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -27,3 +30,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert "DISAGREES" not in proc.stdout

@@ -146,3 +146,15 @@ def test_matrix_tracks_abelianization_random(abcd):
                 sum(vec[g] * mat[g][j] for g in range(4)) for j in range(4)
             )
             assert phi(w).exponent_vector() == expected
+
+
+def test_power_equals_repeated_product_random(abcd):
+    rng = random.Random(20241019)
+    for _ in range(300):
+        w = random_word(rng, abcd, max_syllables=6)
+        for n in range(-4, 5):
+            expected = Word(abcd)
+            for _ in range(abs(n)):
+                expected = expected * (w if n > 0 else w.inverse())
+            assert w**n == expected, (w, n)
+            assert len(expected.syllables) <= w.power_length(n)
