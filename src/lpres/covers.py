@@ -30,7 +30,7 @@ from .lattices import (
     spin_closure,
     subgroup_invariants,
 )
-from .pcgroups import PcPresentation
+from .pcgroups import PcPresentation, assert_defining
 from .presentations import LPresentation
 from .words import FreeEndomorphism, Word
 
@@ -77,11 +77,6 @@ def _ab_of_nf(pc: PcPresentation, nf: dict[int, int]) -> list[int]:
     return vec
 
 
-def _assert_defining(tail: dict[int, int], g: int):
-    if not tail or max(tail) != g or tail[g] != 1:
-        raise AssertionError("defining relation lost its generator")
-
-
 def lift_through_definitions(
     pc: PcPresentation, images: list[dict[int, int]], endo: FreeEndomorphism
 ) -> list[dict[int, int]]:
@@ -115,7 +110,7 @@ def lift_through_definitions(
             tail, value = pc.power_tails.get(d[1], {}), pc.pow_nf(ims[d[1]], pc.orders[d[1]])
         else:
             raise AssertionError("unknown definition %r" % (d,))
-        _assert_defining(tail, g)
+        assert_defining(tail, g)
         prefix = sorted((h, e) for h, e in tail.items() if h != g)
         ims.append(pc.mul(pc.inv(pc.substitute(ims, prefix)), value))
     return ims

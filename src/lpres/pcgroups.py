@@ -45,8 +45,18 @@ agrees, as the other overlaps of the rewriting rules reduce to them
 "Computation with Finitely Presented Groups", 1994, the chapter on
 polycyclic groups; Vaughan-Lee 1984).  Conjugates by g_i^-1 are
 derived from the stored relations, not stored, so they need no
-overlap of their own.  The extension machinery turns the
-disagreements into relations between the central generators.
+overlap of their own.  The extension machinery checks a restricted
+set, which implies the rest.  It leaves out every overlap that meets
+the central block, and every overlap whose weight sum (2 w_i for pow)
+exceeds the class, as no conjugation relation exists at that weight.
+It also leaves out the comm and pow-conj overlaps whose conjugator g_i
+is derived, that is, defined by an exact conjugation or power relation
+of lower generators: conjugation by g_i is then a product of
+conjugations by lower generators (Vaughan-Lee, "An aspect of the
+nilpotent quotient algorithm", Computational Group Theory, Academic
+Press 1984; Nickel, "Computing nilpotent quotients of finitely
+presented groups", DIMACS 25, 1996).  The extension machinery turns
+the disagreements into relations between the central generators.
 """
 
 from __future__ import annotations
@@ -61,6 +71,12 @@ from .lattices import AbelianInvariants, smith_invariants
 #                    s-th free generator during an extension
 #   ("conj", i, j)   new factor in the relation g_j^{g_i} = g_j * tail
 #   ("pow", i)       new factor in the power relation of g_i
+
+
+def assert_defining(tail: dict[int, int], g: int):
+    """A defining relation's tail ends in its generator g, with exponent 1."""
+    if not tail or max(tail) != g or tail[g] != 1:
+        raise AssertionError("defining relation lost its generator")
 
 
 class PcPresentation:
@@ -335,9 +351,12 @@ class PcPresentation:
         g_i, g_i^(o_i-1), g_i; pow-conj (j, i) is g_j^(o_j-1), g_j, g_i;
         conj-pow (j, i) is g_j, g_i, g_i^(o_i-1); comm (k, j, i) is
         g_k, g_j, g_i.  The presentation is consistent when every pair
-        agrees.  Each product of two syllables is collected once per
-        call: g_j*g_i is b*c of the pow-conj overlap and of every comm
-        triple over (i, j), and a*b of the conj-pow overlap.
+        agrees.  With prune set, only the restricted set of
+        _overlap_triples is collected: no central, overweight or derived
+        conjugator overlaps (Vaughan-Lee 1984; Nickel 1996).  Each
+        product of two syllables is collected once per call: g_j*g_i is
+        b*c of the pow-conj overlap and of every comm triple over
+        (i, j), and a*b of the conj-pow overlap.
         """
         mul = self.mul
         products: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, int]] = {}
@@ -358,31 +377,64 @@ class PcPresentation:
 
         Commutator triples in which no pair has a stored conjugation
         relation commute pairwise and are always skipped.  With prune
-        set, two more kinds of overlap are skipped, as they always agree:
-        those that involve a generator of the central block (the top
-        weight, whose generators have no conjugation relations), and
-        commutator triples whose weight sum exceeds nclass (they lie in a
-        trivial section of the group).
+        set, the overlaps that follow from the others are skipped too:
+
+        * those that involve a generator of the central block (the top
+          weight, whose generators have no conjugation relations);
+        * overweight ones: pow (i) with 2 w_i > nclass, pow-conj and
+          conj-pow (j, i) with w_i + w_j > nclass, and comm (k, j, i)
+          with w_i + w_j + w_k > nclass.  No conjugation relation exists
+          at those weights, so g_i commutes with every generator the
+          overlap collects past it, and both sides agree;
+        * comm (k, j, i) and pow-conj (j, i) whose conjugator g_i is
+          derived: defined by a conjugation or power relation of lower
+          generators whose tail ends in g_i with exponent 1.  Conjugation
+          by g_i is then a product of conjugations by lower generators,
+          whose overlaps are checked (Vaughan-Lee, "An aspect of the
+          nilpotent quotient algorithm", Computational Group Theory,
+          1984; Nickel, DIMACS 25, 1996).  The defining relation of each
+          derived conjugator is checked, and AssertionError raised if
+          it lost its generator.
         """
         n = self._central_bound() if prune else self.ngens
         orders, weights, conj, bound = self.orders, self.weights, self.conj, self.nclass
+        conjugator = [not (prune and self._is_derived(g)) for g in range(n)]
         for i in range(n):
+            # weights ascend with the index, so past the first overweight
+            # i, j or k every later one is overweight too
+            if prune and 2 * weights[i] > bound:
+                break
             oi = orders[i]
             if oi is not None:
                 yield "pow", (i,), (i, 1), (i, oi - 1), (i, 1)
             for j in range(i + 1, n):
+                wij = weights[i] + weights[j]
+                if prune and wij > bound:
+                    break
                 oj = orders[j]
-                if oj is not None:
+                if oj is not None and conjugator[i]:
                     yield "pow-conj", (j, i), (j, oj - 1), (j, 1), (i, 1)
                 if oi is not None:
                     yield "conj-pow", (j, i), (j, 1), (i, 1), (i, oi - 1)
-                wij = weights[i] + weights[j]
+                if not conjugator[i]:
+                    continue
                 for k in range(j + 1, n):
                     if prune and wij + weights[k] > bound:
-                        # weights ascend with the index, so every later k is pruned too
                         break
                     if (i, j) in conj or (i, k) in conj or (j, k) in conj:
                         yield "comm", (k, j, i), (k, 1), (j, 1), (i, 1)
+
+    def _is_derived(self, g: int) -> bool:
+        """Whether g_g is defined by a conjugation or power relation; its
+        tail must then end in g_g with exponent 1."""
+        d = self.definitions[g]
+        if d[0] == "conj":
+            assert_defining(self.conj.get((d[1], d[2]), {}), g)
+        elif d[0] == "pow":
+            assert_defining(self.power_tails.get(d[1], {}), g)
+        else:
+            return False
+        return True
 
     def is_consistent(self, prune: bool = True) -> bool:
         return all(lhs == rhs for _, _, lhs, rhs in self.overlap_checks(prune=prune))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import ACCEPTANCE_CLASSES
 from relator_oracle import spun_relators
 
 from lpres.covers import build_cover, impose_relators, lift_through_definitions, trivial_system
@@ -149,11 +150,43 @@ def assert_normal_forms(pc, images):
         check(image, -1)
 
 
-@pytest.mark.parametrize("name", ["grigorchuk", "twisted_twin", "basilica", "bsv"])
-def test_enforced_covers_are_consistent(name):
-    pres = load_catalog(name)
+def random_fp_group(rng):
+    """A p-group on 2 or 3 generators of orders p or p^2, p = 2 or 3,
+    with one or two more relators that are commutators of random words,
+    so the abelianization stays (Z_p or Z_p^2)^k and the quotients grow."""
+    names = ["a", "b", "c"][: rng.choice([2, 3])]
+    p = rng.choice([2, 3])
+    relators = ["%s^%d" % (x, p ** rng.choice([1, 2])) for x in names]
+
+    def word():
+        syllables = [(rng.choice(names), rng.choice([-1, 1, 2])) for _ in range(rng.randint(1, 3))]
+        return "*".join("%s^%d" % s for s in syllables)
+
+    for _ in range(rng.randint(1, 2)):
+        relators.append("[%s, %s]" % (word(), word()) + rng.choice(["", "^%d" % p]))
+    return "group r { generators: %s; fixed: %s; }" % (", ".join(names), ", ".join(relators))
+
+
+# the catalog to its acceptance classes, deeper where that is cheap
+CERTIFIED_CLASSES = {**ACCEPTANCE_CLASSES, "basilica": 8, "bsv": 6}
+CERTIFIED = [(name, load_catalog(name), c) for name, c in CERTIFIED_CLASSES.items()]
+CERTIFIED += [
+    ("quat8", parse_one("group quat8 { generators: a, b; fixed: a^4, b^2*a^-2, a^b*a; }"), 3),
+    ("heisenberg", parse_one("group heis { generators: a, b; fixed: [[a, b], a], [[a, b], b]; }"), 3),
+]
+_rng = random.Random(20261019)
+CERTIFIED += [("random%d" % t, parse_one(random_fp_group(_rng)), 4) for t in range(12)]
+
+
+@pytest.mark.parametrize("pres, c", [case[1:] for case in CERTIFIED], ids=[case[0] for case in CERTIFIED])
+def test_enforced_covers_are_consistent(pres, c):
+    """build_cover enforces only the restricted overlap set (no derived
+    conjugators, no overweight overlaps).  Every overlap of the full set
+    is a row in the central block that must lie in the lattice those
+    rows span, so a cover that passes every overlap proves, for that
+    input, that the restricted rows span the full consistency lattice."""
     system = trivial_system(pres)
-    for _ in range({"basilica": 8, "bsv": 6}.get(name, 3)):
+    for _ in range(c):
         cover = build_cover(system)
         assert cover.pc.is_consistent(prune=False)
         assert_normal_forms(cover.pc, cover.lift_images)

@@ -1,6 +1,8 @@
 """Nilpotent quotient tower against independently known groups."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from relator_oracle import spun_relators
@@ -32,6 +34,26 @@ def test_free_group_quotients_have_witt_ranks():
         "Z^6",
     ]
     assert system.pc.is_consistent(prune=False)
+
+
+def test_four_hundred_pc_generators_collect_without_recursion():
+    """<a..f | a^4, ..., f^4> to class 4 has 6 + 15 + 70 + 315 = 406 pc
+    generators.  Building it runs under a recursion limit only 100
+    frames above the caller's, so collection that nested once per
+    generator would raise RecursionError here."""
+    names = "abcdef"
+    pres = parse_one(
+        "group g { generators: %s; fixed: %s; }"
+        % (", ".join(names), ", ".join(x + "^4" for x in names))
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        system = nilpotent_quotient(pres, 4)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert system.pc.ngens == 406
+    assert [f.render() for f in system.lcs_factors()[:2]] == ["(Z_4)^6", "(Z_4)^15"]
 
 
 def test_heisenberg_presentation_stabilizes_at_class_two():
