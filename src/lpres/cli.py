@@ -23,7 +23,6 @@ import time
 from .conjectures import minimum_class, predicted_dwyer
 from .multiplier import DwyerStep, dwyer_range
 from .presentations import (
-    ParseError,
     adjust,
     catalog_names,
     load_catalog,
@@ -61,7 +60,7 @@ def _add_source(sub, file_ok: bool = True) -> None:
 
 
 def _load(args) -> tuple[str, object]:
-    if getattr(args, "group", None):
+    if args.group is not None:
         try:
             return args.group, load_catalog(args.group)
         except ValueError as exc:
@@ -69,12 +68,10 @@ def _load(args) -> tuple[str, object]:
     path = args.file
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            pres = parse_one(handle.read())
     except OSError as exc:
         raise _InputError(str(exc))
-    try:
-        pres = parse_one(text)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # a ParseError, or bytes that are not UTF-8
         raise _InputError("%s: %s" % (path, exc))
     return pres.name or path, pres
 

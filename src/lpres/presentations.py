@@ -21,15 +21,23 @@ Words use * for products and ^ for powers and conjugation: w^3 is a
 power, w^v with a word exponent is the conjugate v^-1*w*v.  The ^
 operator is left associative and binds tighter than *, so c^a*b means
 (c^a)*b.  Brackets [u, v] denote the commutator u^-1*v^-1*u*v and a
-bare 1 is the empty word.  The generators section must come first;
-# starts a comment running to the end of the line.
+bare 1 is the empty word.  Exponents are ASCII digits; generator names
+start with a letter or _ and go on with letters, digits or _.  The
+generators section must come first; # starts a comment running to the
+end of the line.
+
+Neither the parser nor adjust builds a word of more than
+MAX_WORD_LENGTH syllables: the parser fails with a ParseError, adjust
+with a ValueError.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .lattices import AbelianInvariants, hnf, smith_invariants, spin_closure, xgcd
 from .words import Alphabet, FreeEndomorphism, Word, commutator
@@ -102,53 +110,31 @@ class _Token:
     col: int
 
 
+# Token kinds, tried in order; any other character is unexpected.  \w is
+# str.isalnum() or "_".  An identifier starts with a letter or "_", which
+# _tokenize checks, as [^\W\d] also admits digits such as "²".  Integers
+# are ASCII digits.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+|#[^\n]*)"
+    r"|(?P<ident>[^\W\d]\w*)|(?P<int>[0-9]+)|(?P<sym>->|[{}()\[\],;:*^-])"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}()[],;:*^-":
-            tokens.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind = match and match.lastgroup
+        col = pos - line_start + 1
+        if not kind or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError("unexpected character %r" % text[pos], line, col)
+        pos = match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "blank":
+            tokens.append(_Token(kind, match.group(), line, col))
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -212,15 +198,17 @@ class _Parser:
         if length > MAX_WORD_LENGTH:
             self.fail("word longer than %d syllables" % MAX_WORD_LENGTH, tok)
 
+    def generator(self, alphabet: Alphabet, tok: _Token) -> int:
+        try:
+            return alphabet.index(tok.value)
+        except ValueError:
+            self.fail("unknown generator %r" % tok.value, tok)
+
     def parse_atom(self, alphabet: Alphabet) -> Word:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
-            try:
-                g = alphabet.index(tok.value)
-            except ValueError:
-                self.fail("unknown generator %r" % tok.value, tok)
-            return Word(alphabet, ((g, 1),))
+            return Word(alphabet, ((self.generator(alphabet, tok), 1),))
         if tok.kind == "int":
             if tok.value == "1":
                 self.advance()
@@ -269,12 +257,13 @@ class _Parser:
         self.depth -= 1
         return w
 
-    def parse_word_list(self, alphabet: Alphabet) -> list[Word]:
-        words = [self.parse_word(alphabet)]
+    def parse_list(self, item: Callable[[], object]) -> list:
+        """One or more items separated by commas."""
+        items = [item()]
         while self.at_sym(","):
             self.advance()
-            words.append(self.parse_word(alphabet))
-        return words
+            items.append(item())
+        return items
 
     # ---- group blocks ----
 
@@ -289,62 +278,46 @@ class _Parser:
         if first.value != "generators":
             self.fail("the generators section must come first", first)
         self.expect_sym(":")
-        names = [self.expect_ident("a generator name").value]
-        while self.at_sym(","):
-            self.advance()
-            names.append(self.expect_ident("a generator name").value)
+        names = self.parse_list(lambda: self.expect_ident("a generator name").value)
         self.expect_sym(";")
         if len(set(names)) != len(names):
             self.fail("generator names must be distinct", first)
         alphabet = Alphabet(names)
 
-        fixed: Optional[list[Word]] = None
-        iterated: Optional[list[Word]] = None
-        invariant: Optional[bool] = None
+        sections: dict[str, object] = {}
         endos: list[tuple[str, FreeEndomorphism]] = []
 
         while not self.at_sym("}"):
             section = self.expect_ident("a section name or '}'")
-            if section.value == "fixed":
-                if fixed is not None:
-                    self.fail("duplicate 'fixed' section", section)
+            key = section.value
+            if key in ("fixed", "iterated", "invariant"):
+                if key in sections:
+                    self.fail("duplicate %r section" % key, section)
                 self.expect_sym(":")
-                fixed = self.parse_word_list(alphabet)
+                if key == "invariant":
+                    flag = self.expect_ident("'true' or 'false'")
+                    if flag.value not in ("true", "false"):
+                        self.fail("expected 'true' or 'false'", flag)
+                    sections[key] = flag.value == "true"
+                else:
+                    sections[key] = self.parse_list(lambda: self.parse_word(alphabet))
                 self.expect_sym(";")
-            elif section.value == "iterated":
-                if iterated is not None:
-                    self.fail("duplicate 'iterated' section", section)
-                self.expect_sym(":")
-                iterated = self.parse_word_list(alphabet)
-                self.expect_sym(";")
-            elif section.value == "invariant":
-                if invariant is not None:
-                    self.fail("duplicate 'invariant' section", section)
-                self.expect_sym(":")
-                flag = self.expect_ident("'true' or 'false'")
-                if flag.value not in ("true", "false"):
-                    self.fail("expected 'true' or 'false'", flag)
-                invariant = flag.value == "true"
-                self.expect_sym(";")
-            elif section.value == "endomorphism":
+            elif key == "endomorphism":
                 endo_name = self.expect_ident("an endomorphism name").value
                 if any(nm == endo_name for nm, _ in endos):
                     self.fail("duplicate endomorphism %r" % endo_name, section)
                 self.expect_sym(":")
                 images: dict[int, Word] = {}
-                while True:
+
+                def image():
                     gen_tok = self.expect_ident("a generator name")
-                    try:
-                        g = alphabet.index(gen_tok.value)
-                    except ValueError:
-                        self.fail("unknown generator %r" % gen_tok.value, gen_tok)
+                    g = self.generator(alphabet, gen_tok)
                     if g in images:
                         self.fail("duplicate image for %r" % gen_tok.value, gen_tok)
                     self.expect_sym("->")
                     images[g] = self.parse_word(alphabet)
-                    if not self.at_sym(","):
-                        break
-                    self.advance()
+
+                self.parse_list(image)
                 self.expect_sym(";")
                 missing = [alphabet.names[g] for g in range(len(alphabet)) if g not in images]
                 if missing:
@@ -357,21 +330,19 @@ class _Parser:
                     (endo_name, FreeEndomorphism(alphabet, [images[g] for g in range(len(alphabet))]))
                 )
             else:
-                self.fail("unknown section %r" % section.value, section)
+                self.fail("unknown section %r" % key, section)
         self.expect_sym("}")
 
-        fixed = fixed or []
-        iterated = iterated or []
-        if invariant is None:
-            # without fixed relators the relation subgroup is a closure
-            # under the maps by construction; without maps there is
-            # nothing to be invariant under
-            invariant = not fixed or not endos
+        fixed = tuple(sections.get("fixed", ()))
+        # without fixed relators the relation subgroup is a closure under
+        # the maps by construction; without maps there is nothing to be
+        # invariant under
+        invariant = sections.get("invariant", not fixed or not endos)
         return LPresentation(
             alphabet=alphabet,
-            fixed=tuple(fixed),
+            fixed=fixed,
             endomorphisms=tuple(endos),
-            iterated=tuple(iterated),
+            iterated=tuple(sections.get("iterated", ())),
             invariant=invariant,
             name=name,
         )
@@ -526,7 +497,7 @@ class AdjustedLPresentation:
         )
 
 
-_FIXED, _ITERATED, _PROBE, _DISPLACED = range(4)
+_FIXED, _ITERATED, _PROBE = range(3)
 
 
 class _EchelonRow:
@@ -536,6 +507,23 @@ class _EchelonRow:
         self.vector = vector
         self.word = word
         self.pivot = pivot
+
+
+def _bound(length: int) -> None:
+    """Refuse to build a word of more than MAX_WORD_LENGTH syllables."""
+    if length > MAX_WORD_LENGTH:
+        raise ValueError("adjustment builds a word longer than %d syllables" % MAX_WORD_LENGTH)
+
+
+def _minus(vec: list[int], word: Word, q: int, row: _EchelonRow) -> tuple[list[int], Word]:
+    """(vec, word) minus q times row: the vector and its witness word."""
+    _bound(len(word.syllables) + row.word.power_length(-q))
+    return [a - q * b for a, b in zip(vec, row.vector)], word * row.word ** (-q)
+
+
+def _image(endo: FreeEndomorphism, word: Word) -> Word:
+    _bound(sum(endo.images[g].power_length(e) for g, e in word.syllables))
+    return endo(word)
 
 
 def adjust(pres: LPresentation) -> AdjustedLPresentation:
@@ -555,102 +543,75 @@ def adjust(pres: LPresentation) -> AdjustedLPresentation:
     invariant presentation they lie in the relation subgroup, so the
     basis spans the fixed vectors plus the closure of the iterated ones
     under the endomorphisms' matrices; a ValueError is raised when it
-    does not, as the invariant claim is then false.
+    does not, as the invariant claim is then false.  A ValueError is
+    also raised before any witness word or image would grow past
+    MAX_WORD_LENGTH syllables.
     """
     if not pres.invariant:
         raise ValueError("adjustment requires an invariant presentation")
-    n = len(pres.alphabet)
     echelon: list[_EchelonRow] = []
-    fixed_out: list[Word] = []
-    iterated_out: list[Word] = []
-
-    def lead_column(vec: list[int]) -> Optional[int]:
-        for j, x in enumerate(vec):
-            if x:
-                return j
-        return None
+    # consequences by sink; a probe's consequence is dropped
+    sinks: dict[int, list[Word]] = {_FIXED: [], _ITERATED: []}
 
     def insert(word: Word, sink: int) -> bool:
         grew = False
         pending = deque([(list(word.exponent_vector()), word, sink)])
         while pending:
             vec, w, snk = pending.popleft()
-            idx = 0
-            placed = False
-            while idx < len(echelon):
-                row = echelon[idx]
-                lead = lead_column(vec)
-                if lead is None:
-                    break
-                if lead < row.pivot:
-                    break
+            # a pass changes rows in place only; new rows wait in pending
+            for row in echelon:
                 p = row.pivot
-                if vec[p]:
-                    d = row.vector[p]
-                    q, r = divmod(vec[p], d)
-                    if r == 0:
-                        if q:
-                            vec = [a - q * b for a, b in zip(vec, row.vector)]
-                            w = w * row.word ** (-q)
-                    else:
-                        g, x, y = xgcd(d, vec[p])
-                        new_vec = [x * a + y * b for a, b in zip(row.vector, vec)]
-                        new_word = row.word**x * w**y
-                        du, dv = d // g, vec[p] // g
-                        disp_vec = [a - du * b for a, b in zip(row.vector, new_vec)]
-                        disp_word = row.word * new_word ** (-du)
-                        rem_vec = [a - dv * b for a, b in zip(vec, new_vec)]
-                        rem_word = w * new_word ** (-dv)
-                        row.vector, row.word = new_vec, new_word
-                        grew = True
-                        pending.append((disp_vec, disp_word, _DISPLACED))
-                        vec, w = rem_vec, rem_word
-                idx += 1
-            lead = lead_column(vec)
+                if any(vec[:p]):
+                    break
+                if not vec[p]:
+                    continue
+                d = row.vector[p]
+                q, r = divmod(vec[p], d)
+                if r == 0:
+                    vec, w = _minus(vec, w, q, row)
+                    continue
+                # replace the row by the gcd row; the old row is displaced
+                g, x, y = xgcd(d, vec[p])
+                _bound(row.word.power_length(x) + w.power_length(y))
+                new = _EchelonRow(
+                    [x * a + y * b for a, b in zip(row.vector, vec)], row.word**x * w**y, p
+                )
+                pending.append((*_minus(row.vector, row.word, d // g, new), _FIXED))
+                vec, w = _minus(vec, w, vec[p] // g, new)
+                row.vector, row.word = new.vector, new.word
+                grew = True
+            lead = next((j for j, x in enumerate(vec) if x), None)
             if lead is not None:
                 if vec[lead] < 0:
-                    vec = [-x for x in vec]
-                    w = w.inverse()
-                slot = 0
-                while slot < len(echelon) and echelon[slot].pivot < lead:
-                    slot += 1
+                    vec, w = [-x for x in vec], w.inverse()
+                slot = bisect_left(echelon, lead, key=lambda row: row.pivot)
                 echelon.insert(slot, _EchelonRow(vec, w, lead))
                 grew = True
-            elif not w.is_identity():
-                if snk in (_FIXED, _DISPLACED):
-                    fixed_out.append(w)
-                elif snk == _ITERATED:
-                    iterated_out.append(w)
+            elif w and snk in sinks:
+                sinks[snk].append(w)
         return grew
 
     queue: deque[tuple[Word, int]] = deque()
     for q in pres.fixed:
         if insert(q, _FIXED):
-            for endo in pres.maps:
-                queue.append((endo(q), _PROBE))
-    for r in pres.iterated:
-        queue.append((r, _ITERATED))
+            queue.extend((_image(endo, q), _PROBE) for endo in pres.maps)
+    queue.extend((r, _ITERATED) for r in pres.iterated)
     while queue:
         word, sink = queue.popleft()
         if insert(word, sink):
-            follow = _ITERATED if sink == _ITERATED else _PROBE
-            for endo in pres.maps:
-                queue.append((endo(word), follow))
+            queue.extend((_image(endo, word), sink) for endo in pres.maps)
 
     # canonicalize: reduce entries above each pivot into [0, pivot)
-    for k in range(len(echelon)):
-        rk = echelon[k]
-        d = rk.vector[rk.pivot]
-        for i in range(k):
-            ri = echelon[i]
-            q = ri.vector[rk.pivot] // d
+    for k, rk in enumerate(echelon):
+        for ri in echelon[:k]:
+            q = ri.vector[rk.pivot] // rk.vector[rk.pivot]
             if q:
-                ri.vector = [a - q * b for a, b in zip(ri.vector, rk.vector)]
-                ri.word = ri.word * rk.word ** (-q)
+                ri.vector, ri.word = _minus(ri.vector, ri.word, q, rk)
 
     for row in echelon:
         assert list(row.word.exponent_vector()) == row.vector
     basis_vectors = tuple(tuple(row.vector) for row in echelon)
+    n = len(pres.alphabet)
     spun = spin_closure(
         [q.exponent_vector() for q in pres.iterated], [endo.matrix() for endo in pres.maps], ncols=n
     )
@@ -665,6 +626,6 @@ def adjust(pres: LPresentation) -> AdjustedLPresentation:
         original=pres,
         basis_words=tuple(row.word for row in echelon),
         basis_vectors=basis_vectors,
-        fixed_consequences=tuple(fixed_out),
-        iterated_consequences=tuple(iterated_out),
+        fixed_consequences=tuple(sinks[_FIXED]),
+        iterated_consequences=tuple(sinks[_ITERATED]),
     )

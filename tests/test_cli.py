@@ -41,6 +41,15 @@ group spun {
 """
 
 
+# The trivial group (nq stabilizes at class 0), yet the witness words
+# that adjust builds for it grow until memory runs out, unless bounded.
+WITNESS_GROWTH = """
+group r { generators: a, b, c; invariant: true;
+  endomorphism s: a -> a^-3, b -> b^-1*c, c -> b^-2*a^2*b^-2*a;
+  iterated: c^-1*b^2, a^4*b; }
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -199,6 +208,11 @@ def test_unknown_group_is_usage_error(capsys):
     code, _, err = run(capsys, "nq", "--group", "nonexistent", "--max-class", "2")
     assert code == 1
     assert "unknown catalog group" in err
+    # an empty name is a name too, not a missing --group
+    for command in ("nq", "check-conjecture"):
+        code, out, err = run(capsys, command, "--group", "", "--max-class", "2")
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error: unknown catalog group ''"), command
 
 
 def test_missing_source_is_usage_error(capsys):
@@ -292,9 +306,24 @@ def test_million_exponent_reaches_class_four(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_missing_file_exit(capsys):
+def test_missing_file_exit(tmp_path, capsys):
     code, _, _ = run(capsys, "adjust", "--file", "/nonexistent/path.lp")
     assert code == 1
+    # so is a file that is not UTF-8
+    path = tmp_path / "binary.lp"
+    path.write_bytes(b"\xff\xfe group")
+    code, out, err = run(capsys, "adjust", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: 'utf-8' codec can't decode" % path)
+
+
+def test_adjust_refuses_overlong_witness_words(tmp_path, capsys):
+    path = tmp_path / "growth.lp"
+    path.write_text(WITNESS_GROWTH)
+    code, out, err = run(capsys, "adjust", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "longer than 100000 syllables" in err
+    assert "Traceback" not in err
 
 
 def test_computation_failure_exit(tmp_path, capsys):

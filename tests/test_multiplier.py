@@ -5,10 +5,16 @@ import math
 
 import pytest
 
-from lpres.lattices import AbelianInvariants, membership, row_times_matrix
+from lpres.lattices import (
+    AbelianInvariants,
+    left_kernel,
+    membership,
+    row_times_matrix,
+    subgroup_invariants,
+)
 from lpres.multiplier import dwyer_range
 from lpres.presentations import load_catalog, parse_one
-from lpres.quotients import nilpotent_quotient
+from lpres.quotients import nilpotent_quotient, tower
 
 try:
     from hypothesis import given
@@ -58,6 +64,29 @@ def test_order_identity_with_next_layer():
             lhs = step.multiplier.order()
             rhs = step.invariants.order() * step.next_layer.order()
             assert lhs == rhs, (name, step.nclass, lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "name, cmax",
+    [("grigorchuk", 7), ("twisted_twin", 5), ("grigorchuk_supergroup", 5), ("basilica", 8), ("bsv", 6)],
+)
+def test_dwyer_certificate(name, cmax):
+    """M(H_c) / image(M(G)) is the next lower central layer (Dwyer 1975),
+    including its free part, and trivial once the series stabilizes."""
+    levels = tower(load_catalog(name))
+    next(levels)
+    for c in range(1, cmax + 1):
+        cover, system = next(levels)
+        quotient = subgroup_invariants(
+            left_kernel(cover.mu_rows()),
+            cover.image_rows() + cover.torsion_rows(),
+            cover.central_dim,
+        )
+        if system.nclass == c + 1:
+            layer = system.lcs_factors()[c]
+        else:
+            layer = AbelianInvariants(0, ())
+        assert quotient == layer, (name, c, quotient, layer)
 
 
 def test_filtration_is_a_chain_of_quotients():

@@ -101,6 +101,12 @@ def test_parse_error_positions():
     assert err.value.line == 3
     assert "unexpected character" in str(err.value)
 
+    # exponents are ASCII digits; "²" is a digit to str.isdigit() only
+    for exponent in ("²", "٣"):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_one("group demo {\n  generators: x;\n  fixed: x^%s;\n}" % exponent)
+        assert (err.value.line, err.value.col) == (3, 12)
+
     with pytest.raises(ParseError, match="unknown generator 'z'"):
         parse_one("group demo {\n  generators: x;\n  fixed: z^2;\n}")
 
