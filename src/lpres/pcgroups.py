@@ -21,7 +21,12 @@ Normal forms are sparse dicts {generator index: exponent} with the
 exponent of a finite-order generator kept in [0, order).  Products are
 computed by collection from the left, in one loop over a stack of
 (generator, exponent) syllables: u * g^e keeps the part of u below g
-and pushes the part above g, conjugated by g^e, back on the stack.
+and pushes the segment above g, conjugated by g^e, back on the stack.
+The segment stops at the first generator of weight > nclass - w_g:
+that one and all above it commute with g by weight, as no conjugation
+relation exists past the class, so they stay in u.  The generators of
+u below the central block are kept in a sorted list for the length of
+a product, and the segment is a slice of it.
 Conjugation is only ever by g^(+-2^k), from the cached images of the
 generators under it: a syllable g^e with any other exponent is split
 into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
@@ -89,6 +94,7 @@ class PcPresentation:
         "definitions",
         "abelian_image",
         "_cache",
+        "_bounds",
     )
 
     def __init__(self, nfree: int):
@@ -104,6 +110,8 @@ class PcPresentation:
         #   (g, s, j, f)  its power f, as syllables to push
         #   (g, carry)    the power tail of g to the power carry, likewise
         self._cache: dict[tuple[int, ...], dict[int, int] | list[tuple[int, int]]] = {}
+        # cleared whenever the weights change: _segment_bounds()
+        self._bounds: Optional[tuple[int, list[int]]] = None
 
     # ------------------------------------------------------------ structure
 
@@ -128,6 +136,8 @@ class PcPresentation:
         self.weights.append(weight)
         self.definitions.append(definition)
         self.abelian_image.append(tuple(ab_image))
+        # a heavier generator raises the class, and with it every bound
+        self.clear_caches()
         return self.ngens - 1
 
     def set_power_tail(self, i: int, tail: dict[int, int]):
@@ -156,11 +166,21 @@ class PcPresentation:
 
     def clear_caches(self):
         self._cache.clear()
+        self._bounds = None
 
     def _central_bound(self) -> int:
         """Index of the first generator of the top weight: the central block."""
         w = self.weights
         return bisect_left(w, w[-1]) if w else 0
+
+    def _segment_bounds(self) -> tuple[int, list[int]]:
+        """The central bound, and for each generator g the index of the
+        first generator of weight > nclass - w_g: it and all above it
+        commute with g."""
+        if self._bounds is None:
+            w, c = self.weights, self.nclass
+            self._bounds = (self._central_bound(), [bisect_right(w, c - wg) for wg in w])
+        return self._bounds
 
     def copy(self) -> "PcPresentation":
         twin = PcPresentation(self.nfree)
@@ -180,51 +200,62 @@ class PcPresentation:
     def _collect(self, out: dict[int, int], stack: list[tuple[int, int]]) -> dict[int, int]:
         """Multiply out, a normal form, by the syllables popped off stack.
 
-        With out = base * g^a * segment * central (base below g, the
-        segment up to the central block), out * g^e is base * g^(a+e) *
-        segment^(g^e) * central.  So the segment is popped off out, and
-        its conjugate, then the power tail of any carry past the order
-        of g, go on the stack to be collected next.  The segment is
-        conjugated by g^(+-2^k) only: for any other e, g^e is split into
-        g^low for the lowest set bit of e, collected now, and g^(e-low),
-        pushed to follow the conjugated segment.  A central g only adds
-        to its exponent and pushes its tail times the carry.  The power
-        tail to the power of a carry, and each conjugated syllable of
-        the segment, are collected once and then taken from the cache
-        until a relation changes.
+        A generator of weight > nclass - w_g commutes with g, and so with
+        every generator above g, as no conjugation relation exists past
+        the class.  So with out = base * g^a * segment * rest (base below
+        g, segment the generators above g up to the first of weight
+        > nclass - w_g, rest the others), out * g^e is base * g^(a+e) *
+        rest * segment^(g^e), and collection only moves the segment: it
+        is popped off out, and its conjugate, then the power tail of any
+        carry past the order of g, go on the stack to be collected next.
+        The generators of out below the central block are kept in a
+        sorted list for the length of the call, so the segment is a slice
+        of it.  The segment is conjugated by g^(+-2^k) only: for any other
+        e, g^e is split into g^low for the lowest set bit of e, collected
+        now, and g^(e-low), pushed to follow the conjugated segment.  A
+        central g only adds to its exponent and pushes its tail times the
+        carry.  The power tail to the power of a carry, and each
+        conjugated syllable of the segment, are collected once and then
+        taken from the cache until a relation changes.
         """
-        cs = self._central_bound()
+        cs, bounds = self._segment_bounds()
         orders, tails = self.orders, self.power_tails
-        # no generator of out below the central block is above top
-        top = max(out, default=-1)
+        keys = sorted([k for k in out if k < cs])
         while stack:
             g, e = stack.pop()
             if not e:
                 continue
             segment = None
-            if g < cs:
-                if g < top:
-                    segment = sorted([k for k in out if g < k < cs])
-                    segment = [(k, out.pop(k)) for k in segment]
+            noncentral = g < cs
+            if noncentral:
+                lo = bisect_right(keys, g)
+                hi = bisect_left(keys, bounds[g], lo)
+                if lo < hi:
+                    segment = [(k, out.pop(k)) for k in keys[lo:hi]]
+                    del keys[lo:hi]
                     low = e & -e
-                    if segment and low != abs(e):
+                    if low != abs(e):
                         low = low if e > 0 else -low
                         stack.append((g, e - low))
                         e = low
-                top = g
-            total = out.get(g, 0) + e
+            before = out.get(g, 0)
+            total = before + e
             carry = 0
             o = orders[g]
             if o is not None:
                 carry, total = divmod(total, o)
             if total:
                 out[g] = total
-            else:
-                out.pop(g, None)
+                if noncentral and not before:
+                    keys.insert(lo, g)
+            elif before:
+                del out[g]
+                if noncentral:
+                    del keys[lo - 1]
             if segment:
                 stack += self._conjugate_syllables(g, e, segment)
             if carry and g in tails:
-                if g < cs:
+                if noncentral:
                     stack += self._pushed_power((g, carry), tails[g], carry)
                 else:
                     # a central tail, whose power scales its exponents

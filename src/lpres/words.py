@@ -113,11 +113,17 @@ class Word:
         return s[:i], s[i : j + 1]
 
     def power_length(self, n: int) -> int:
-        """An upper bound on the syllables of self**n, found without building it."""
+        """The number of syllables of self**n, found without building it."""
         prefix, core = self._cyclic_split()
         if n == 0 or not core:
             return 0
-        return 2 * len(prefix) + (1 if len(core) == 1 else len(core) * abs(n))
+        if len(core) == 1:
+            return 2 * len(prefix) + 1
+        # a split that merged the end syllables leaves the core ending in
+        # the prefix's last generator, so the core's last syllable and
+        # the inverse prefix reduce to one syllable
+        merged = bool(prefix) and prefix[-1][0] == core[-1][0]
+        return 2 * len(prefix) + len(core) * abs(n) - merged
 
     def __pow__(self, n: int) -> "Word":
         """p * c^n * p^-1 for self = p * c * p^-1 with c cyclically

@@ -55,6 +55,10 @@ CASES = [
     ("twisted_twin", 4, True),
     ("square_bc", 3, False),
     ("square_bc", 2, True),
+    # deeper covers, whose segments stop short of generators of several
+    # weights that commute with the collected one by weight
+    ("basilica", 8, True),
+    ("twisted_twin", 6, True),
 ]
 
 BIG = 10**4
@@ -185,3 +189,29 @@ def test_memo_is_cleared_when_a_relation_changes():
     _apply_central_rows(pc, cover.lift_images, cover.relator_lattice)
     elements = sample()
     assert_matches(ReferenceCollector(pc), elements)
+
+
+def test_extending_a_presentation_drops_its_segment_bounds():
+    # the segment of g ends at the first generator of weight above
+    # nclass - w_g; collect in the free nilpotent group of class 2 on
+    # a, b, then extend it in place to class 3 with [c, a] and [c, b]
+    # for c = [b, a], and every product must follow the new class
+    pc = nilpotent_quotient(parse_one("group f { generators: a, b; }"), 2).pc
+    assert pc.weights == [1, 1, 2] and pc.conj == {(0, 1): {2: 1}}
+    rng = random.Random(17)
+
+    def assert_matches(pc):
+        ref = ReferenceCollector(pc)
+        elements = [{g: rng.randint(-3, 3) for g in range(pc.ngens)} for _ in range(6)]
+        elements = [{g: e for g, e in u.items() if e} for u in elements]
+        for u in elements:
+            assert pc.inv(u) == ref.inv(u)
+            for v in elements:
+                assert pc.mul(u, v) == ref.mul(u, v)
+
+    assert_matches(pc)
+    for j in (0, 1):
+        g = pc.add_generator(None, 3, ("conj", j, 2), (0, 0))
+        pc.set_conj_tail(j, 2, {g: 1})
+    assert pc.mul({2: 1}, {0: 1}) == {0: 1, 2: 1, 3: 1}
+    assert_matches(pc)

@@ -2,8 +2,8 @@
 
 These classes lie far past the acceptance classes, and each case runs
 `check-conjecture` through every class up to its own.  They cost from
-seconds to a few minutes each, about five minutes in all, so they are
-marked slow and run apart from the default suite:
+a second to about half a minute each, about a minute in all on a 2-core
+machine, so they are marked slow and run apart from the default suite:
 
     PYTHONPATH=src python -m pytest -q -m slow tests/test_reach.py
 """
@@ -26,6 +26,8 @@ from lpres.cli import main
         ("bsv", 11),
         # the class where the Z_8 factor of the level-1 window appears
         ("basilica", 16),
+        # the class where the Z_2 factor of the level-2 window appears
+        ("basilica", 24),
     ],
 )
 def test_closed_form_holds_at_reach_class(group, max_class, capsys):

@@ -157,4 +157,4 @@ def test_power_equals_repeated_product_random(abcd):
             for _ in range(abs(n)):
                 expected = expected * (w if n > 0 else w.inverse())
             assert w**n == expected, (w, n)
-            assert len(expected.syllables) <= w.power_length(n)
+            assert len(expected.syllables) == w.power_length(n)
