@@ -3,7 +3,7 @@
 A PcPresentation describes a finitely generated nilpotent group on
 generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
 
-* weights are non-decreasing in the generator index;
+* weights are at least 1 and non-decreasing in the generator index;
 * for finite relative order o_i there is a power relation
   g_i^{o_i} = tail, with the tail a normal form over generators of
   index > i;
@@ -11,11 +11,6 @@ generators g_0 < g_1 < ... < g_{n-1}, each with a weight, such that:
   with the tail a normal form over generators of index > j and of
   weight at least w_i + w_j; a missing entry means the two generators
   commute.
-
-The weight condition leaves the generators of the top weight without
-conjugation relations, so they form a central block, inferred from
-the weights: it is the new layer while a quotient is extended, and
-the last lower central layer of a quotient.
 
 Normal forms are sparse dicts {generator index: exponent} with the
 exponent of a finite-order generator kept in [0, order).  Products are
@@ -25,19 +20,19 @@ and pushes the segment above g, conjugated by g^e, back on the stack.
 The segment stops at the first generator of weight > nclass - w_g:
 that one and all above it commute with g by weight, as no conjugation
 relation exists past the class, so they stay in u.  The generators of
-u below the central block are kept in a sorted list for the length of
-a product, and the segment is a slice of it.
+u that some segment can reach are kept in a sorted list for the length
+of a product, and the segment is a slice of it.
 Conjugation is only ever by g^(+-2^k), from the cached images of the
 generators under it: a syllable g^e with any other exponent is split
 into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
 one pass per set bit, not |e| (Vaughan-Lee, "Collection from the
-left", J. Symbolic Comput. 9, 1990).  A syllable of the central block
-only adds to its exponent.  The blocks of syllables that collection
-pushes again and again are collected once per presentation state: the
-power tail of g to the power of a carry, and the image of g_j under
-g^(+-2^k) to the power of its exponent, are kept as syllable lists
-beside the cached images, and all of them are dropped whenever a
-relation changes (set_power_tail, set_conj_tail, clear_caches).
+left", J. Symbolic Comput. 9, 1990).  The blocks of syllables that
+collection pushes again and again are collected once per presentation
+state: the power tail of g to the power of a carry, and the image of
+g_j under g^(+-2^k) to the power of its exponent, are kept as syllable
+lists beside the cached images, and all of them are dropped whenever
+the presentation changes (add_generator, set_power_tail,
+set_conj_tail, clear_caches).
 
 Consistency is checked on overlaps: triples a, b, c of one-syllable
 normal forms, each collected as (a*b)*c and as a*(b*c).  They are
@@ -51,17 +46,16 @@ agrees, as the other overlaps of the rewriting rules reduce to them
 polycyclic groups; Vaughan-Lee 1984).  Conjugates by g_i^-1 are
 derived from the stored relations, not stored, so they need no
 overlap of their own.  The extension machinery checks a restricted
-set, which implies the rest.  It leaves out every overlap that meets
-the central block, and every overlap whose weight sum (2 w_i for pow)
-exceeds the class, as no conjugation relation exists at that weight.
-It also leaves out the comm and pow-conj overlaps whose conjugator g_i
-is derived, that is, defined by an exact conjugation or power relation
-of lower generators: conjugation by g_i is then a product of
-conjugations by lower generators (Vaughan-Lee, "An aspect of the
-nilpotent quotient algorithm", Computational Group Theory, Academic
-Press 1984; Nickel, "Computing nilpotent quotients of finitely
-presented groups", DIMACS 25, 1996).  The extension machinery turns
-the disagreements into relations between the central generators.
+set, which implies the rest.  It leaves out every overlap whose weight
+sum (2 w_i for pow) exceeds the class, as no conjugation relation
+exists at that weight.  It also leaves out the comm and pow-conj
+overlaps whose conjugator g_i is derived, that is, defined by an exact
+conjugation or power relation of lower generators: conjugation by g_i
+is then a product of conjugations by lower generators (Vaughan-Lee,
+"An aspect of the nilpotent quotient algorithm", Computational Group
+Theory, Academic Press 1984; Nickel, "Computing nilpotent quotients of
+finitely presented groups", DIMACS 25, 1996).  The extension machinery
+turns the disagreements into relations between the central generators.
 """
 
 from __future__ import annotations
@@ -105,13 +99,13 @@ class PcPresentation:
         self.conj: dict[tuple[int, int], dict[int, int]] = {}
         self.definitions: list[tuple] = []
         self.abelian_image: list[tuple[int, ...]] = []
-        # cleared whenever a relation changes:
+        # cleared by clear_caches whenever the presentation changes:
         #   (g, s, j)     conj_gen_nf(g, s, j)
         #   (g, s, j, f)  its power f, as syllables to push
         #   (g, carry)    the power tail of g to the power carry, likewise
         self._cache: dict[tuple[int, ...], dict[int, int] | list[tuple[int, int]]] = {}
-        # cleared whenever the weights change: _segment_bounds()
-        self._bounds: Optional[tuple[int, list[int]]] = None
+        # likewise: _segment_bounds()
+        self._bounds: Optional[list[int]] = None
 
     # ------------------------------------------------------------ structure
 
@@ -130,13 +124,14 @@ class PcPresentation:
         definition: tuple,
         ab_image: Sequence[int],
     ) -> int:
+        if weight < 1:
+            raise ValueError("weights must be at least 1")
         if self.weights and weight < self.weights[-1]:
             raise ValueError("weights must be non-decreasing")
         self.orders.append(order)
         self.weights.append(weight)
         self.definitions.append(definition)
         self.abelian_image.append(tuple(ab_image))
-        # a heavier generator raises the class, and with it every bound
         self.clear_caches()
         return self.ngens - 1
 
@@ -148,7 +143,7 @@ class PcPresentation:
             self.power_tails[i] = tail
         else:
             self.power_tails.pop(i, None)
-        self._cache.clear()
+        self.clear_caches()
 
     def set_conj_tail(self, i: int, j: int, tail: dict[int, int]):
         if not i < j:
@@ -162,24 +157,18 @@ class PcPresentation:
             self.conj[(i, j)] = tail
         else:
             self.conj.pop((i, j), None)
-        self._cache.clear()
+        self.clear_caches()
 
     def clear_caches(self):
         self._cache.clear()
         self._bounds = None
 
-    def _central_bound(self) -> int:
-        """Index of the first generator of the top weight: the central block."""
-        w = self.weights
-        return bisect_left(w, w[-1]) if w else 0
-
-    def _segment_bounds(self) -> tuple[int, list[int]]:
-        """The central bound, and for each generator g the index of the
-        first generator of weight > nclass - w_g: it and all above it
-        commute with g."""
+    def _segment_bounds(self) -> list[int]:
+        """For each generator g, the index of the first generator of
+        weight > nclass - w_g: it and all above it commute with g."""
         if self._bounds is None:
             w, c = self.weights, self.nclass
-            self._bounds = (self._central_bound(), [bisect_right(w, c - wg) for wg in w])
+            self._bounds = [bisect_right(w, c - wg) for wg in w]
         return self._bounds
 
     def copy(self) -> "PcPresentation":
@@ -208,26 +197,27 @@ class PcPresentation:
         rest * segment^(g^e), and collection only moves the segment: it
         is popped off out, and its conjugate, then the power tail of any
         carry past the order of g, go on the stack to be collected next.
-        The generators of out below the central block are kept in a
-        sorted list for the length of the call, so the segment is a slice
-        of it.  The segment is conjugated by g^(+-2^k) only: for any other
-        e, g^e is split into g^low for the lowest set bit of e, collected
-        now, and g^(e-low), pushed to follow the conjugated segment.  A
-        central g only adds to its exponent and pushes its tail times the
-        carry.  The power tail to the power of a carry, and each
-        conjugated syllable of the segment, are collected once and then
-        taken from the cache until a relation changes.
+        The generators of out below the largest bound, that of g_0, are
+        kept in a sorted list for the length of the call, so the segment
+        is a slice of it; no segment reaches the others.  The segment is
+        conjugated by g^(+-2^k) only: for any other e, g^e is split into
+        g^low for the lowest set bit of e, collected now, and g^(e-low),
+        pushed to follow the conjugated segment.  The power tail to the
+        power of a carry, and each conjugated syllable of the segment,
+        are collected once and then taken from the cache until the
+        presentation changes.
         """
-        cs, bounds = self._segment_bounds()
+        bounds = self._segment_bounds()
         orders, tails = self.orders, self.power_tails
-        keys = sorted([k for k in out if k < cs])
+        top = bounds[0] if bounds else 0
+        keys = sorted([k for k in out if k < top])
         while stack:
             g, e = stack.pop()
             if not e:
                 continue
             segment = None
-            noncentral = g < cs
-            if noncentral:
+            listed = g < top
+            if listed:
                 lo = bisect_right(keys, g)
                 hi = bisect_left(keys, bounds[g], lo)
                 if lo < hi:
@@ -246,21 +236,16 @@ class PcPresentation:
                 carry, total = divmod(total, o)
             if total:
                 out[g] = total
-                if noncentral and not before:
+                if listed and not before:
                     keys.insert(lo, g)
             elif before:
                 del out[g]
-                if noncentral:
+                if listed:
                     del keys[lo - 1]
             if segment:
                 stack += self._conjugate_syllables(g, e, segment)
             if carry and g in tails:
-                if noncentral:
-                    stack += self._pushed_power((g, carry), tails[g], carry)
-                else:
-                    # a central tail, whose power scales its exponents
-                    # as it commutes
-                    stack += sorted(((h, carry * f) for h, f in tails[g].items()), reverse=True)
+                stack += self._pushed_power((g, carry), tails[g], carry)
         return out
 
     def _conjugate_syllables(
@@ -383,7 +368,7 @@ class PcPresentation:
         conj-pow (j, i) is g_j, g_i, g_i^(o_i-1); comm (k, j, i) is
         g_k, g_j, g_i.  The presentation is consistent when every pair
         agrees.  With prune set, only the restricted set of
-        _overlap_triples is collected: no central, overweight or derived
+        _overlap_triples is collected: no overweight or derived
         conjugator overlaps (Vaughan-Lee 1984; Nickel 1996).  Each
         product of two syllables is collected once per call: g_j*g_i is
         b*c of the pow-conj overlap and of every comm triple over
@@ -410,13 +395,13 @@ class PcPresentation:
         relation commute pairwise and are always skipped.  With prune
         set, the overlaps that follow from the others are skipped too:
 
-        * those that involve a generator of the central block (the top
-          weight, whose generators have no conjugation relations);
         * overweight ones: pow (i) with 2 w_i > nclass, pow-conj and
           conj-pow (j, i) with w_i + w_j > nclass, and comm (k, j, i)
           with w_i + w_j + w_k > nclass.  No conjugation relation exists
           at those weights, so g_i commutes with every generator the
-          overlap collects past it, and both sides agree;
+          overlap collects past it, and both sides agree.  As weights
+          are at least 1, every overlap that meets a generator of the
+          top weight is one of them;
         * comm (k, j, i) and pow-conj (j, i) whose conjugator g_i is
           derived: defined by a conjugation or power relation of lower
           generators whose tail ends in g_i with exponent 1.  Conjugation
@@ -427,7 +412,7 @@ class PcPresentation:
           derived conjugator is checked, and AssertionError raised if
           it lost its generator.
         """
-        n = self._central_bound() if prune else self.ngens
+        n = self.ngens
         orders, weights, conj, bound = self.orders, self.weights, self.conj, self.nclass
         conjugator = [not (prune and self._is_derived(g)) for g in range(n)]
         for i in range(n):

@@ -146,7 +146,9 @@ def test_memo_is_cleared_when_a_relation_changes():
     # the collector keeps powered tails and powered conjugates under the
     # presentation state they were collected in: warm that memo in a
     # changed state, restore the relation, and every product must again
-    # match a reference that has never seen the change
+    # match a reference that has never seen the change; the relations
+    # changed are the power tails of a generator of weight 1 and of one
+    # of the top weight, and a conjugation relation
     pres = parse_one(SOURCES["square_bc"])
     cover = build_cover(nilpotent_quotient(pres, 2))
     pc = cover.pc
@@ -159,6 +161,9 @@ def test_memo_is_cleared_when_a_relation_changes():
             elements.append({g: e for g, e in u.items() if e})
         return elements
 
+    def top_tails():
+        return [g for g in sorted(pc.power_tails) if pc.weights[g] == pc.nclass]
+
     def assert_matches(collector, elements):
         for u in elements:
             assert pc.inv(u) == collector.inv(u)
@@ -166,6 +171,11 @@ def test_memo_is_cleared_when_a_relation_changes():
                 assert pc.pow_nf(u, k) == collector.pow_nf(u, k)
             for v in elements:
                 assert pc.mul(u, v) == collector.mul(u, v)
+            # carry the power tail of a top-weight generator 2 and 3 times
+            for g in top_tails():
+                for k in (2, 3):
+                    v = {g: k * pc.orders[g]}
+                    assert pc.mul(u, v) == collector.mul(u, v)
 
     def warm_in(change, undo):
         # start cold, so that the memo is filled in the changed state
@@ -174,6 +184,9 @@ def test_memo_is_cleared_when_a_relation_changes():
         assert_matches(pc, elements)
         assert any(len(k) == 2 and k[1] not in (0, 1) for k in pc._cache), "no carry past 0, 1"
         assert any(len(k) == 4 and k[3] not in (0, 1) for k in pc._cache), "no conjugate power"
+        assert any(
+            len(k) == 2 and k[1] >= 2 and pc.weights[k[0]] == pc.nclass for k in pc._cache
+        ), "no top-weight carry past 1"
         undo()
         assert_matches(ReferenceCollector(pc), elements)
 
@@ -182,6 +195,13 @@ def test_memo_is_cleared_when_a_relation_changes():
     warm_in(lambda: pc.set_power_tail(0, dict(list(tail.items())[:1])), lambda: pc.set_power_tail(0, tail))
     (i, j), conj_tail = min(pc.conj.items())
     warm_in(lambda: pc.set_conj_tail(i, j, {}), lambda: pc.set_conj_tail(i, j, conj_tail))
+    t = top_tails()[0]
+    top_tail = pc.power_tails[t]
+    assert len(top_tail) > 1
+    warm_in(
+        lambda: pc.set_power_tail(t, dict(list(top_tail.items())[:1])),
+        lambda: pc.set_power_tail(t, top_tail),
+    )
 
     # the central block: impose the relator lattice on the warmed cover
     # in place, so that generators are dropped and renumbered under it

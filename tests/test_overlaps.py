@@ -10,6 +10,7 @@ PcPresentation._overlap_triples applies to them; the covers of the
 catalog exercise the rule for derived conjugators.
 """
 
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -73,7 +74,11 @@ def overweight(pc, kind, idx):
 def test_overlap_checks_match_the_per_kind_reference(pc):
     reference = list(reference_overlap_checks(pc, prune=True))
     kept = [item for item in reference if not overweight(pc, *item[:2])]
-    assert overlap_multiset(pc.overlap_checks(prune=True)) == overlap_multiset(kept)
+    pruned = list(pc.overlap_checks(prune=True))
+    assert overlap_multiset(pruned) == overlap_multiset(kept)
+    # the weight rule alone keeps every generator of the top weight out
+    top = bisect_left(pc.weights, pc.nclass)
+    assert all(g < top for _, idx, _, _ in pruned for g in idx)
     # the overlaps the weight rule skips agree on any presentation
     assert all(lhs == rhs for kind, idx, lhs, rhs in reference if overweight(pc, kind, idx))
     got = overlap_multiset(pc.overlap_checks(prune=False))

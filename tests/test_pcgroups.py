@@ -66,6 +66,16 @@ def test_tail_validation():
         pc.add_generator(order=2, weight=1, definition=("pow", 0), ab_image=(0, 0))
 
 
+@pytest.mark.parametrize("weight", [0, -1])
+def test_weights_start_at_one(weight):
+    # the weight rule of collection and of the pruned overlaps needs
+    # every weight to be at least 1
+    pc = PcPresentation(nfree=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        pc.add_generator(order=None, weight=weight, definition=("free", 0), ab_image=(1,))
+    assert pc.ngens == 0
+
+
 def test_dihedral_collection():
     pc = dihedral8()
     s, r = {0: 1}, {1: 1}
