@@ -28,10 +28,9 @@ exactly when they produce identical HNF rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -67,15 +66,42 @@ def matrix_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
     return [row_times_matrix(row, b) for row in a]
 
 
-@dataclass(frozen=True)
 class HNFBasis:
     """Canonical basis of a sublattice of Z^ncols, with the sparse
-    echelon it was read off."""
+    echelon it was read off.  Immutable; equality and hashing read the
+    rows, pivots and ncols, not the echelon."""
 
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    ncols: int
-    _echelon: _SparseEchelon = field(compare=False, repr=False)
+    __slots__ = ("rows", "pivots", "ncols", "_echelon")
+
+    def __init__(
+        self,
+        rows: tuple[tuple[int, ...], ...],
+        pivots: tuple[int, ...],
+        ncols: int,
+        echelon: _SparseEchelon,
+    ):
+        for name, value in zip(self.__slots__, (rows, pivots, ncols, echelon)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self) -> tuple:
+        return self.rows, self.pivots, self.ncols
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "HNFBasis(rows=%r, pivots=%r, ncols=%r)" % self._key()
 
     @property
     def rank(self) -> int:
@@ -286,8 +312,7 @@ def left_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(r[ncols:]) for r, p in zip(basis.rows, basis.pivots) if p >= ncols]
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """A finitely generated abelian group: Z^free_rank + cyclic torsion chain.
 
     The torsion entries form a dividing chain d1 | d2 | ... with every

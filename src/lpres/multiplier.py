@@ -14,15 +14,14 @@ to cross-check them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattices import AbelianInvariants, subgroup_invariants
 from .presentations import LPresentation
 from .quotients import tower
 
 
-@dataclass(frozen=True)
-class DwyerStep:
+class DwyerStep(NamedTuple):
     """One class of the multiplier filtration.
 
     invariants is the image of the full multiplier in M(H_c);

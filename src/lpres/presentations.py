@@ -36,8 +36,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .lattices import AbelianInvariants, hnf, smith_invariants, spin_closure, xgcd
 from .words import Alphabet, FreeEndomorphism, Word, commutator
@@ -52,14 +51,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class LPresentation:
-    """An L-presentation over a fixed alphabet.
-
-    endomorphisms is an ordered tuple of (name, map) pairs; the order
-    fixes the deterministic processing order everywhere downstream.
-    """
-
+class _LPresentationFields(NamedTuple):
     alphabet: Alphabet
     fixed: tuple[Word, ...]
     endomorphisms: tuple[tuple[str, FreeEndomorphism], ...]
@@ -67,7 +59,20 @@ class LPresentation:
     invariant: bool
     name: str = ""
 
-    def __post_init__(self):
+
+class LPresentation(_LPresentationFields):
+    """An L-presentation over a fixed alphabet.
+
+    endomorphisms is an ordered tuple of (name, map) pairs; the order
+    fixes the deterministic processing order everywhere downstream.
+    The constructor checks that every word and map is over the
+    alphabet and that the map names are distinct.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for w in self.fixed + self.iterated:
             if w.alphabet != self.alphabet:
                 raise ValueError("relator word over a different alphabet")
@@ -78,6 +83,12 @@ class LPresentation:
             if nm in seen:
                 raise ValueError("duplicate endomorphism name %r" % nm)
             seen.add(nm)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     @property
     def maps(self) -> tuple[FreeEndomorphism, ...]:
@@ -102,8 +113,7 @@ MAX_WORD_LENGTH = 100_000
 MAX_EXPONENT = 10**15
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'sym' | 'end'
     value: str
     line: int
@@ -461,8 +471,7 @@ def load_catalog(name: str) -> LPresentation:
 # adjustment
 
 
-@dataclass(frozen=True)
-class AdjustedLPresentation:
+class AdjustedLPresentation(NamedTuple):
     """An equivalent presentation whose relator lattice is explicit.
 
     basis_words carry the exponent-vector basis of the full relator

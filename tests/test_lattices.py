@@ -378,3 +378,16 @@ def test_invariants_quotient_order():
     assert z4.order() == 4
     assert z.order() is None
     assert AbelianInvariants(0, (2, 4)).order() == 8
+
+
+def test_records_are_immutable_and_compare_by_value():
+    inv = AbelianInvariants(1, (2, 4))
+    with pytest.raises(AttributeError):
+        inv.free_rank = 0
+    assert hash(inv) == hash(AbelianInvariants(1, tuple([2, 4])))
+    basis = hnf_sparse([{0: 2, 1: 1}], 2)
+    with pytest.raises(AttributeError):
+        basis.rows = ()
+    assert basis != hnf_sparse([{0: 2}], 2)
+    assert basis != hnf_sparse([{0: 2, 1: 1}], 3)
+    assert hash(basis) == hash(hnf_sparse([{0: 2, 1: 1}, {0: 4, 1: 2}], 2))

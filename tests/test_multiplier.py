@@ -41,6 +41,12 @@ def test_finite_nilpotent_groups_stabilize_at_full_multiplier():
     assert steps[1].invariants == AbelianInvariants(0, (2,))
 
 
+def test_dwyer_step_is_immutable():
+    step = dwyer_range(load_catalog("grigorchuk"), 1)[0]
+    with pytest.raises(AttributeError):
+        step.nclass = 2
+
+
 def test_dwyer_layers_match_the_quotient_tower():
     """dwyer_range and nilpotent_quotient read one tower, also past stabilization."""
     klein = parse_one("group klein { generators: a, b; fixed: a^2, b^2, (a*b)^2; }")

@@ -297,6 +297,28 @@ def test_adjust_requires_invariance():
         adjust(pres)
 
 
+def test_presentation_is_immutable_and_checked_on_construction():
+    pres = load_catalog("grigorchuk")
+    with pytest.raises(AttributeError):
+        pres.name = "other"
+    other = parse_one("group other { generators: x, y; fixed: x^2; }")
+    endo = pres.endomorphisms[0]
+    with pytest.raises(ValueError, match="relator word over a different alphabet"):
+        LPresentation(pres.alphabet, other.fixed, (), (), True)
+    with pytest.raises(ValueError, match="endomorphism 'sigma' over a different alphabet"):
+        LPresentation(other.alphabet, (), (endo,), (), True)
+    with pytest.raises(ValueError, match="duplicate endomorphism name 'sigma'"):
+        LPresentation(pres.alphabet, (), (endo, endo), (), True)
+
+
+def test_replace_checks_like_the_constructor():
+    pres = load_catalog("grigorchuk")
+    other = parse_one("group other { generators: x, y; fixed: x^2; }")
+    assert pres._replace(name="renamed").fixed == pres.fixed
+    with pytest.raises(ValueError, match="relator word over a different alphabet"):
+        pres._replace(fixed=other.fixed)
+
+
 def test_adjusted_presentation_serializes():
     adj = adjust(load_catalog("grigorchuk"))
     pres = adj.presentation
