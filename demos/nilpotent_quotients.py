@@ -15,7 +15,7 @@ def walk(name, max_class):
     print("-" * 60)
     last = 0
     for c, system in quotient_tower(pres, max_class):
-        layer = system.lcs_factors()[c - 1]
+        layer = system.pc.lcs_factor(c)
         order = system.order()
         print(
             "class %2d: layer %-12s order %s  (%d pc generators)"

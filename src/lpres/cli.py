@@ -98,7 +98,7 @@ def _cmd_nq(args) -> int:
     t_prev = time.perf_counter()
     for c, system in quotient_tower(pres, args.max_class):
         t_now = time.perf_counter()
-        layer = system.lcs_factors()[c - 1]
+        layer = system.pc.lcs_factor(c)
         order = system.order()
         results.append(
             {

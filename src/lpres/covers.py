@@ -18,7 +18,7 @@ endomorphisms of the presentation lift to integer matrices on it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .lattices import (
     AbelianInvariants,
@@ -84,35 +84,27 @@ def lift_through_definitions(
 
     Each generator is resolved through its defining relation, in index
     order, so only images of earlier generators and of the free
-    generators' images are ever needed.  The image of a commutator
-    definition [g_j, g_i] is built from the inverses of the images of
-    g_i and g_j, and each image is inverted at most once per call.
+    generators' images are ever needed.  A relation reads prefix * g =
+    value, and the image of g is the image of value divided on the left
+    by that of prefix.  The value of a commutator definition [g_j, g_i]
+    is comm_nf of the images of g_j and g_i, so neither is inverted.
     """
     ims: list[dict[int, int]] = []
-    inverses: dict[int, dict[int, int]] = {}
-
-    def inverse(h: int) -> dict[int, int]:
-        if h not in inverses:
-            inverses[h] = pc.inv(ims[h])
-        return inverses[h]
-
     for g in range(pc.ngens):
         d = pc.definitions[g]
         # each definition reads prefix * g = value, with prefix the tail minus g
         if d[0] == "freetail":
-            tail, value = images[d[1]], pc.substitute(images, endo.images[d[1]].syllables)
+            tail, value = images[d[1]], pc.evaluate(images, endo.images[d[1]])
         elif d[0] == "conj":
             i, j = d[1], d[2]
-            # [g_j, g_i] = (g_j^-1 * g_i^-1) * (g_j * g_i)
-            tail = pc.conj[(i, j)]
-            value = pc.mul(pc.mul(inverse(j), inverse(i)), pc.mul(ims[j], ims[i]))
+            tail, value = pc.conj[(i, j)], pc.comm_nf(ims[j], ims[i])
         elif d[0] == "pow":
             tail, value = pc.power_tails.get(d[1], {}), pc.pow_nf(ims[d[1]], pc.orders[d[1]])
         else:
             raise AssertionError("unknown definition %r" % (d,))
         assert_defining(tail, g)
         prefix = sorted((h, e) for h, e in tail.items() if h != g)
-        ims.append(pc.mul(pc.inv(pc.substitute(ims, prefix)), value))
+        ims.append(pc.left_quotient(pc.substitute(ims, prefix), value))
     return ims
 
 
@@ -202,10 +194,8 @@ class Cover:
         kernel = left_kernel(self.mu_rows())
         return subgroup_invariants(kernel, self.torsion_rows(), self.central_dim)
 
-    def relator_rows(self, words: Sequence[Word]) -> list[list[int]]:
-        return [
-            self.central_vector(self.pc.substitute(self.lift_images, w.syllables)) for w in words
-        ]
+    def relator_rows(self, words: Iterable[Word]) -> list[list[int]]:
+        return [self.central_vector(self.pc.evaluate(self.lift_images, w)) for w in words]
 
     def endomorphism_matrices(self) -> list[list[list[int]]]:
         """Action of each declared endomorphism on the central section.
@@ -236,13 +226,14 @@ class Cover:
         matrices map the torsion into itself, so spinning it with the
         iterated values closes them modulo the torsion.  The lattice
         contains the torsion, so imposing it replaces the cover's orders
-        on the central block."""
+        on the central block.  A relator listed twice is evaluated once."""
         spun = spin_closure(
-            self.relator_rows(self.pres.iterated) + self.torsion_rows(),
+            self.relator_rows(dict.fromkeys(self.pres.iterated)) + self.torsion_rows(),
             self.endomorphism_matrices(),
             ncols=self.central_dim,
         )
-        return hnf(list(spun.rows) + self.relator_rows(self.pres.fixed), self.central_dim)
+        fixed = self.relator_rows(dict.fromkeys(self.pres.fixed))
+        return hnf(list(spun.rows) + fixed, self.central_dim)
 
     def image_rows(self) -> list[list[int]]:
         """Rows spanning the image of the group's multiplier: the relator
@@ -294,7 +285,10 @@ def build_cover(system: QuotientSystem) -> Cover:
             images[s] = fresh(("freetail", s), ab, images[s])
 
     # overlap checks become relations between the central generators,
-    # collected first so that hnf_sparse can insert them right to left
+    # collected first so that hnf_sparse can insert them right to left;
+    # each must vanish in the cover's abelianization, as it does when it
+    # meets no central generator of nonzero abelian image
+    abelian = {k for k, v in enumerate(pc.abelian_image[cs:]) if any(v)}
     rows = []
     for kind, idx, lhs, rhs in pc.overlap_checks(prune=True):
         if lhs == rhs:
@@ -309,14 +303,11 @@ def build_cover(system: QuotientSystem) -> Cover:
                         % (kind, idx)
                     )
                 row[k - cs] = d
+        if not abelian.isdisjoint(row) and any(_ab_of_nf(pc, {cs + k: d for k, d in row.items()})):
+            raise AssertionError("consistency relation with nonzero abelianization")
         rows.append(row)
-    basis = hnf_sparse(rows, pc.ngens - cs)
 
-    # every enforced row must be invisible in the cover's abelianization
-    if any(any(v) for v in matrix_product(basis.rows, pc.abelian_image[cs:])):
-        raise AssertionError("consistency relation with nonzero abelianization")
-
-    _apply_central_rows(pc, images, basis)
+    _apply_central_rows(pc, images, hnf_sparse(rows, pc.ngens - cs))
     return Cover(pres, pc, images, cs)
 
 

@@ -63,10 +63,7 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
         image = subgroup_invariants(cover.image_rows(), cover.torsion_rows(), cover.central_dim)
         section = cover.multiplier_invariants()
         t3 = time.perf_counter()
-        if system.nclass == c + 1:
-            layer = system.lcs_factors()[c]
-        else:
-            layer = AbelianInvariants(0, ())
+        layer = system.pc.lcs_factor(c + 1)
         steps.append(
             DwyerStep(
                 nclass=c,

@@ -34,6 +34,14 @@ lists beside the cached images, and all of them are dropped whenever
 the presentation changes (add_generator, set_power_tail,
 set_conj_tail, clear_caches).
 
+Conjugates and commutators never invert the conjugating element: u^v
+is collected as u * v and divided on the left by v, and the commutator
+[u, v] = u^-1 * u^v is divided by u in the same way.  Division finds the
+x with u * x = w one syllable at a time, from the lowest generator on.
+A relator is evaluated by the shape of its word: a commutator of two
+words through the commutator of their values, a power of a word through
+binary powering of its value, and any other word syllable by syllable.
+
 Consistency is checked on overlaps: triples a, b, c of one-syllable
 normal forms, each collected as (a*b)*c and as a*(b*c).  They are
 g_i * g_i^(o_i-1) * g_i for a finite order o_i ("pow"),
@@ -291,9 +299,46 @@ class PcPresentation:
                 return result
             base = self.mul(base, base)
 
+    def conjugate(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        """Normal form of u^v = v^-1 * u * v, as the x with v * x = u * v.
+
+        Collecting u * v conjugates the part of u above each syllable
+        g^e of v through the cached images under g^e itself, and
+        left_quotient takes v off again, so v is never inverted.
+        Conjugation fixes the lowest weight w of u, and a generator of
+        weight > nclass - w commutes with every generator of weight w or
+        more, so the syllables of v past that weight are dropped first.
+        """
+        if not u:
+            return {}
+        weights = self.weights
+        bound = self.nclass - weights[min(u)]
+        v = {g: e for g, e in v.items() if weights[g] <= bound}
+        return self.left_quotient(v, self.mul(u, v))
+
     def comm_nf(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        """Normal form of the commutator u^-1 * v^-1 * u * v."""
-        return self.substitute((u, v), ((0, -1), (1, -1), (0, 1), (1, 1)))
+        """Normal form of the commutator [u, v] = u^-1 * u^v."""
+        return self.left_quotient(u, self.conjugate(u, v))
+
+    def left_quotient(self, u: dict[int, int], w: dict[int, int]) -> dict[int, int]:
+        """Normal form of u^-1 * w for normal forms u and w, found as the
+        x with u * x = w.
+
+        At the lowest generator g where u and w differ, x takes the
+        exponent of g that makes them agree, and u is multiplied by it.
+        That changes u only above g, so x is built in increasing order.
+        """
+        u, x = dict(u), {}
+        orders = self.orders
+        while True:
+            g = min((h for h in u.keys() | w.keys() if u.get(h, 0) != w.get(h, 0)), default=None)
+            if g is None:
+                return x
+            e = w.get(g, 0) - u.get(g, 0)
+            if orders[g] is not None:
+                e %= orders[g]
+            x[g] = e
+            self._collect(u, [(g, e)])
 
     def conj_gen_nf(self, g: int, s: int, j: int) -> dict[int, int]:
         """Normal form of g_j conjugated by g_g^s, for j > g and s = +-2^k.
@@ -354,6 +399,19 @@ class PcPresentation:
                 stack = sorted(self.pow_nf(image, e).items(), reverse=True)
             self._collect(out, stack)
         return out
+
+    def evaluate(self, images: Sequence[dict[int, int]], word) -> dict[int, int]:
+        """Image of a Word under g -> images[g], by its shape: the
+        commutator of a ("comm", u, v) word's values through comm_nf,
+        the power of a ("pow", w, n) word's value through pow_nf, and
+        the syllables of any other word, or of the identity, through
+        substitute."""
+        shape = word.shape
+        if shape is None or not word.syllables:
+            return self.substitute(images, word.syllables)
+        if shape[0] == "comm":
+            return self.comm_nf(self.evaluate(images, shape[1]), self.evaluate(images, shape[2]))
+        return self.pow_nf(self.evaluate(images, shape[1]), shape[2])
 
     # ------------------------------------------------------------ consistency
 
@@ -476,26 +534,26 @@ class PcPresentation:
             rows.append(row)
         return rows
 
-    def lcs_factors(self) -> list[AbelianInvariants]:
-        """Invariants of the lower central series layers, weight 1 upward.
+    def lcs_factor(self, w: int) -> AbelianInvariants:
+        """Invariants of the weight-w layer of the lower central series.
 
         The weight-w generators form one block, as weights never
         decrease, and the layer is presented by the block's power
         relations.  A power tail counts inside its own block: the
         relations imposed on a central block can give a generator a
         tail among the generators of its own weight.  Tail entries in
-        deeper blocks are zero in the layer.
+        deeper blocks are zero in the layer.  Past the class the layer
+        is trivial.
         """
-        out = []
-        for w in range(1, self.nclass + 1):
-            lo, hi = bisect_left(self.weights, w), bisect_right(self.weights, w)
-            out.append(smith_invariants(self.relation_rows(lo, hi), hi - lo))
-        return out
+        lo, hi = bisect_left(self.weights, w), bisect_right(self.weights, w)
+        return smith_invariants(self.relation_rows(lo, hi), hi - lo)
+
+    def lcs_factors(self) -> list[AbelianInvariants]:
+        """Invariants of the lower central series layers, weight 1 upward."""
+        return [self.lcs_factor(w) for w in range(1, self.nclass + 1)]
 
     def abelian_invariants(self) -> AbelianInvariants:
-        if self.nclass == 0:
-            return AbelianInvariants(0, ())
-        return self.lcs_factors()[0]
+        return self.lcs_factor(1)
 
     def order(self) -> Optional[int]:
         total = 1

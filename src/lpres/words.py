@@ -3,12 +3,15 @@
 Words are kept freely reduced in run-length form: a tuple of
 (generator index, exponent) pairs with nonzero exponents and no two
 adjacent pairs sharing a generator.  Exponents are plain Python ints,
-so iterated endomorphism images never overflow.
+so iterated endomorphism images never overflow.  A commutator or a
+power also remembers the words it was built from, so a group that
+evaluates it can commute or power their values instead of collecting
+the flattened word.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class Alphabet:
@@ -74,13 +77,27 @@ class Word:
 
     The ``syllables`` attribute is the run-length normal form; the empty
     tuple is the identity.  Words are immutable and hashable.
+
+    ``shape`` is ``("comm", u, v)`` for a word built as
+    ``commutator(u, v)``, ``("pow", w, n)`` for one built as ``w**n``,
+    and None otherwise.  A power of a power is one power of the inner
+    base.  A power of a conjugate of one syllable, p * g^e * p^-1, has
+    no shape: it is p * g^(e*n) * p^-1, no longer than the word itself.
+    Equality, hashing and printing ignore the shape, and every other
+    operation returns a word without one.
     """
 
-    __slots__ = ("alphabet", "syllables")
+    __slots__ = ("alphabet", "syllables", "shape")
 
-    def __init__(self, alphabet: Alphabet, runs: Iterable[tuple[int, int]] = ()):
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        runs: Iterable[tuple[int, int]] = (),
+        shape: Optional[tuple] = None,
+    ):
         self.alphabet = alphabet
         self.syllables = _reduce_runs(alphabet, runs)
+        self.shape = shape
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
@@ -134,10 +151,12 @@ class Word:
             return Word(self.alphabet)
         if len(core) == 1:
             ((g, e),) = core
-            power = ((g, e * n),)
-        else:
-            power = (core if n > 0 else _inverse(core)) * abs(n)
-        return Word(self.alphabet, prefix + power + _inverse(prefix))
+            return Word(self.alphabet, prefix + ((g, e * n),) + _inverse(prefix))
+        power = (core if n > 0 else _inverse(core)) * abs(n)
+        base, m = self, 1
+        if self.shape is not None and self.shape[0] == "pow":
+            _, base, m = self.shape
+        return Word(self.alphabet, prefix + power + _inverse(prefix), ("pow", base, m * n))
 
     def conjugate(self, by: "Word") -> "Word":
         """self**by in the exponent convention w^v = v^-1 * w * v."""
@@ -173,8 +192,9 @@ class Word:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """[u, v] = u^-1 * v^-1 * u * v."""
-    return u.inverse() * v.inverse() * u * v
+    """[u, v] = u^-1 * v^-1 * u * v, of shape ("comm", u, v)."""
+    w = u.inverse() * v.inverse() * u * v
+    return Word(u.alphabet, w.syllables, ("comm", u, v))
 
 
 class FreeEndomorphism:

@@ -11,6 +11,11 @@ conjugations of the identity cost time and change nothing.  Its time
 is linear in every exponent it conjugates by, and a product
 compounds the exponents of infinite-order generators, so the tests
 keep those exponents small.
+
+The functions at the end are the formulas that conjugate, comm_nf and
+evaluate replaced: each collects the flattened word, u^-1 * v^-1 * u * v
+for a commutator, v^-1 * u * v for a conjugate and the syllables of a
+relator, through PcPresentation.substitute.
 """
 
 
@@ -131,3 +136,18 @@ class ReferenceCollector:
         for j in sorted(nf):
             out = self.mul(out, self.pow_nf(self.conj_gen_nf(g, sign, j), nf[j]))
         return out
+
+
+def collected_conjugate(pc, u, v):
+    """u^v collected as the three factors v^-1 * u * v."""
+    return pc.substitute((u, v), ((1, -1), (0, 1), (1, 1)))
+
+
+def four_factor_commutator(pc, u, v):
+    """[u, v] collected as the four factors u^-1 * v^-1 * u * v."""
+    return pc.substitute((u, v), ((0, -1), (1, -1), (0, 1), (1, 1)))
+
+
+def flat_value(pc, images, word):
+    """The image of a word under g -> images[g], from its syllables alone."""
+    return pc.substitute(images, word.syllables)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lpres.cli import main
-from lpres.presentations import parse_one
+from lpres.presentations import MAX_NESTING, parse_one
 from lpres.quotients import abelian_quotient
 
 KLEIN = """
@@ -248,6 +248,24 @@ def test_deeply_nested_word_is_a_parse_error(tmp_path, capsys):
     assert code == 1
     assert "error:" in err
     assert "line 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "relator",
+    [
+        # a power of a power is one power, so the chain has no depth
+        pytest.param("a" + "^1" * 10_000, id="10000-link-power-chain"),
+        # words nested as deep as the parser allows, as commutators
+        pytest.param("[" * (MAX_NESTING - 1) + "a, a]" + ", b]" * (MAX_NESTING - 2), id="nested-commutators"),
+    ],
+)
+def test_deep_shapes_evaluate_without_recursion(tmp_path, capsys, relator):
+    path = tmp_path / "deep.lp"
+    path.write_text("group deep {\n  generators: a, b;\n  fixed: %s;\n}\n" % relator)
+    code, out, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert code == 0, err
+    assert out.startswith("c=1: layer ")
     assert "Traceback" not in err
 
 

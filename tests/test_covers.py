@@ -214,6 +214,17 @@ def test_lifted_endomorphism_intertwines_projection(name):
         system = impose_relators(cover)
 
 
+def test_consistency_rows_must_vanish_in_the_abelianization():
+    # the weight-2 generator [b, a] claims a nonzero abelian image, so the
+    # fresh generator of its power relation does too, and the overlap
+    # rows through it no longer vanish in the abelianization
+    system = tower(parse_one("group k { generators: a, b; fixed: a^2, b^2; }"), 2)
+    assert system.pc.definitions[2] == ("conj", 0, 1)
+    system.pc.abelian_image[2] = (1, 1)
+    with pytest.raises(AssertionError, match="nonzero abelianization"):
+        build_cover(system)
+
+
 def test_relator_values_are_central():
     pres = load_catalog("twisted_twin")
     system = tower(pres, 2)

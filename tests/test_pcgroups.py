@@ -191,6 +191,10 @@ def test_lcs_factors_and_order():
     assert d4.abelian_invariants() == AbelianInvariants(0, (2, 2))
     h = heisenberg()
     assert h.lcs_factors() == [AbelianInvariants(2, ()), AbelianInvariants(1, ())]
+    # one layer at a time, trivial past the class
+    assert [h.lcs_factor(w) for w in (1, 2)] == h.lcs_factors()
+    assert d4.lcs_factor(3) == h.lcs_factor(5) == AbelianInvariants(0, ())
+    assert PcPresentation(nfree=2).abelian_invariants() == AbelianInvariants(0, ())
     assert h.order() is None
     assert d4.order() == 8
 

@@ -68,6 +68,41 @@ def test_commutator_identity_when_equal(abcd):
     assert commutator(a, a**3).is_identity()
 
 
+def test_shape_is_kept_by_commutators_and_powers_and_ignored_by_equality(abcd):
+    a, b, c = abcd.word("a"), abcd.word("b"), abcd.word("c")
+    comm = commutator(a, b * c)
+    flat = Word(abcd, comm.syllables)
+    assert comm.shape == ("comm", a, b * c) and flat.shape is None
+    assert comm == flat and hash(comm) == hash(flat) and str(comm) == str(flat)
+    assert len({comm, flat}) == 1
+    power = (a * b) ** 3
+    assert power.shape == ("pow", a * b, 3)
+    assert power == Word(abcd, power.syllables) and hash(power) == hash(Word(abcd, power.syllables))
+    # every other operation returns a flat word
+    sigma = FreeEndomorphism(abcd, [b, a, c, c])
+    for w in (comm * a, comm.inverse(), comm.conjugate(a), sigma(comm), Word(abcd, comm.syllables)):
+        assert w.shape is None
+
+
+def test_power_of_a_power_is_one_power(abcd):
+    a, b = abcd.word("a"), abcd.word("b")
+    w = ((a * b) ** 2) ** -3
+    assert w.shape == ("pow", a * b, -6)
+    assert w == (a * b) ** -6
+    chain = a * b
+    for _ in range(10_000):
+        chain = chain**1
+    assert chain.shape == ("pow", a * b, 1)
+    # a conjugate of one syllable powers to another, and stays flat
+    assert (a**2).shape is None and ((a**2) ** 3).shape is None
+    assert (b.conjugate(a) ** 5).syllables == ((0, -1), (1, 5), (0, 1))
+    assert (b.conjugate(a) ** 5).shape is None
+    # a commutator is the base of its powers
+    comm = commutator(a, b)
+    assert ((comm**2) ** 5).shape == ("pow", comm, 10)
+    assert ((comm**2) ** 5).shape[1].shape == ("comm", a, b)
+
+
 def test_conjugation_convention(abcd):
     a, c = abcd.word("a"), abcd.word("c")
     # c^a = a^-1 c a
