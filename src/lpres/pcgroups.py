@@ -34,13 +34,17 @@ lists beside the cached images, and all of them are dropped whenever
 the presentation changes (add_generator, set_power_tail,
 set_conj_tail, clear_caches).
 
-Conjugates and commutators never invert the conjugating element: u^v
-is collected as u * v and divided on the left by v, and the commutator
-[u, v] = u^-1 * u^v is divided by u in the same way.  Division finds the
-x with u * x = w one syllable at a time, from the lowest generator on.
-A relator is evaluated by the shape of its word: a commutator of two
-words through the commutator of their values, a power of a word through
-binary powering of its value, and any other word syllable by syllable.
+Conjugates and commutators never invert the conjugating element.  For
+u^v, each syllable g^e of v below the lowest generator of u conjugates
+u through the cached images under g^(+-2^k), one pass per set bit of
+|e|, as collection would conjugate a segment; the rest of v is
+multiplied onto u and divided off on the left again.  The commutator
+[u, v] = u^-1 * u^v is divided by u in the same way.  Division finds
+the x with u * x = w one syllable at a time, from the lowest generator
+on.  A relator is evaluated by the shape of its word: a commutator of
+two words through the commutator of their values, a conjugate through
+the conjugate of their values, a power of a word through binary
+powering of its value, and any other word syllable by syllable.
 
 Consistency is checked on overlaps: triples a, b, c of one-syllable
 normal forms, each collected as (a*b)*c and as a*(b*c).  They are
@@ -300,21 +304,36 @@ class PcPresentation:
             base = self.mul(base, base)
 
     def conjugate(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        """Normal form of u^v = v^-1 * u * v, as the x with v * x = u * v.
+        """Normal form of u^v = v^-1 * u * v, never inverting v.
 
-        Collecting u * v conjugates the part of u above each syllable
-        g^e of v through the cached images under g^e itself, and
-        left_quotient takes v off again, so v is never inverted.
-        Conjugation fixes the lowest weight w of u, and a generator of
-        weight > nclass - w commutes with every generator of weight w or
-        more, so the syllables of v past that weight are dropped first.
+        Conjugation fixes the lowest generator g of u and its weight w,
+        and a generator of weight > nclass - w commutes with every
+        generator of weight w or more, so the syllables of v past that
+        weight are dropped first.  Each syllable h^e of v below g
+        conjugates u through the cached images under h^(+-2^k), one
+        pass per set bit of |e|.  The rest of v, from g on, is taken as
+        the x with rest * x = u * rest.
         """
         if not u:
             return {}
         weights = self.weights
-        bound = self.nclass - weights[min(u)]
-        v = {g: e for g, e in v.items() if weights[g] <= bound}
-        return self.left_quotient(v, self.mul(u, v))
+        low = min(u)
+        bound = self.nclass - weights[low]
+        nf, rest = u, {}
+        for g, e in sorted(v.items()):
+            if weights[g] > bound:
+                break
+            if g >= low:
+                rest[g] = e
+                continue
+            sign, e = (1, e) if e > 0 else (-1, -e)
+            while e:
+                bit = e & -e
+                nf = self._conj_nf(nf, g, sign * bit)
+                e -= bit
+        if rest:
+            return self.left_quotient(rest, self.mul(nf, rest))
+        return dict(nf) if nf is u else nf
 
     def comm_nf(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
         """Normal form of the commutator [u, v] = u^-1 * u^v."""
@@ -403,15 +422,18 @@ class PcPresentation:
     def evaluate(self, images: Sequence[dict[int, int]], word) -> dict[int, int]:
         """Image of a Word under g -> images[g], by its shape: the
         commutator of a ("comm", u, v) word's values through comm_nf,
-        the power of a ("pow", w, n) word's value through pow_nf, and
-        the syllables of any other word, or of the identity, through
-        substitute."""
+        the conjugate of a ("conj", w, v) word's values through
+        conjugate, the power of a ("pow", w, n) word's value through
+        pow_nf, and the syllables of any other word, or of the identity,
+        through substitute."""
         shape = word.shape
         if shape is None or not word.syllables:
             return self.substitute(images, word.syllables)
-        if shape[0] == "comm":
-            return self.comm_nf(self.evaluate(images, shape[1]), self.evaluate(images, shape[2]))
-        return self.pow_nf(self.evaluate(images, shape[1]), shape[2])
+        kind, first, second = shape
+        if kind == "pow":
+            return self.pow_nf(self.evaluate(images, first), second)
+        combine = self.comm_nf if kind == "comm" else self.conjugate
+        return combine(self.evaluate(images, first), self.evaluate(images, second))
 
     # ------------------------------------------------------------ consistency
 
@@ -430,7 +452,14 @@ class PcPresentation:
         conjugator overlaps (Vaughan-Lee 1984; Nickel 1996).  Each
         product of two syllables is collected once per call: g_j*g_i is
         b*c of the pow-conj overlap and of every comm triple over
-        (i, j), and a*b of the conj-pow overlap.
+        (i, j), and a*b of the conj-pow overlap.  In a comm triple
+        c = g_i lies below b = g_j, so b*c is g_i times
+        b^c = conj_gen_nf(i, 1, j), and a*(b*c) is collected as
+        (a*c) * b^c: collecting a times b*c would pop g_i first and then
+        exactly the syllables of b^c, so the result is the same, and
+        a*c = g_k*g_i is shared with the other triples over (i, k).
+        The pow-conj overlap keeps a*(b*c), as its a*c, g_j^(o_j-1)*g_i,
+        would be a product of its own.
         """
         mul = self.mul
         products: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, int]] = {}
@@ -441,7 +470,11 @@ class PcPresentation:
             return products[(x, y)]
 
         for kind, idx, a, b, c in self._overlap_triples(prune):
-            yield kind, idx, mul(product(a, b), dict([c])), mul(dict([a]), product(b, c))
+            if kind == "comm":
+                rhs = mul(product(a, c), self.conj_gen_nf(c[0], 1, b[0]))
+            else:
+                rhs = mul(dict([a]), product(b, c))
+            yield kind, idx, mul(product(a, b), dict([c])), rhs
 
     def _overlap_triples(
         self, prune: bool

@@ -28,7 +28,9 @@ end of the line.
 
 Neither the parser nor adjust builds a word of more than
 MAX_WORD_LENGTH syllables: the parser fails with a ParseError, adjust
-with a ValueError.
+with a ValueError.  The parser also fails on a word whose powers,
+conjugates and commutators build more than MAX_BUILT_SYLLABLES
+syllables in all.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections import deque
 from typing import Callable, NamedTuple, Optional
 
 from .lattices import AbelianInvariants, hnf, smith_invariants, spin_closure, xgcd
-from .words import Alphabet, FreeEndomorphism, Word, commutator
+from .words import Alphabet, FreeEndomorphism, Word, append_reduced, commutator
 
 
 class ParseError(ValueError):
@@ -107,6 +109,11 @@ MAX_NESTING = 100
 # class, and a few characters of nested input can otherwise ask for
 # more syllables than fit in memory.
 MAX_WORD_LENGTH = 100_000
+# Each power, conjugate or commutator builds its word anew, so a chain
+# of them, each under MAX_WORD_LENGTH, takes time quadratic in its
+# length; a word may build at most this many syllables in all that way.
+# A product is built once, however many factors it has.
+MAX_BUILT_SYLLABLES = 10 * MAX_WORD_LENGTH
 # Larger exponent literals are rejected as input errors.  Collection and
 # the lattices take exponents of any size, so the bound only keeps a
 # mistyped exponent from becoming a relative order of hundreds of bits.
@@ -153,6 +160,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # syllables built for the word being parsed, see check_built
+        self.built = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -208,6 +217,15 @@ class _Parser:
         if length > MAX_WORD_LENGTH:
             self.fail("word longer than %d syllables" % MAX_WORD_LENGTH, tok)
 
+    def check_built(self, length: int, tok: _Token):
+        """check_length for a power, conjugate or commutator, whose
+        syllables also count towards the MAX_BUILT_SYLLABLES of the
+        outermost word being parsed."""
+        self.check_length(length, tok)
+        self.built += length
+        if self.built > MAX_BUILT_SYLLABLES:
+            self.fail("word builds more than %d syllables" % MAX_BUILT_SYLLABLES, tok)
+
     def generator(self, alphabet: Alphabet, tok: _Token) -> int:
         try:
             return alphabet.index(tok.value)
@@ -235,7 +253,7 @@ class _Parser:
             self.expect_sym(",")
             v = self.parse_word(alphabet)
             self.expect_sym("]")
-            self.check_length(2 * (len(u.syllables) + len(v.syllables)), tok)
+            self.check_built(2 * (len(u.syllables) + len(v.syllables)), tok)
             return commutator(u, v)
         self.fail("expected a generator, '(', '[' or 1")
 
@@ -246,24 +264,30 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "int" or (tok.kind == "sym" and tok.value == "-"):
                 n = self.parse_int()
-                self.check_length(w.power_length(n), tok)
+                self.check_built(w.power_length(n), tok)
                 w = w**n
             else:
                 v = self.parse_atom(alphabet)
-                self.check_length(len(w.syllables) + 2 * len(v.syllables), tok)
+                self.check_built(len(w.syllables) + 2 * len(v.syllables), tok)
                 w = w.conjugate(v)
         return w
 
     def parse_word(self, alphabet: Alphabet) -> Word:
         if self.depth == MAX_NESTING:
             self.fail("words nested more than %d deep" % MAX_NESTING)
+        if not self.depth:
+            self.built = 0
         self.depth += 1
         w = self.parse_factor(alphabet)
-        while self.at_sym("*"):
-            tok = self.advance()
-            v = self.parse_factor(alphabet)
-            self.check_length(len(w.syllables) + len(v.syllables), tok)
-            w = w * v
+        if self.at_sym("*"):
+            # one reduced list for the whole product, not a word per factor
+            runs = list(w.syllables)
+            while self.at_sym("*"):
+                tok = self.advance()
+                v = self.parse_factor(alphabet)
+                self.check_length(len(runs) + len(v.syllables), tok)
+                append_reduced(runs, v.syllables, len(alphabet))
+            w = Word(alphabet, runs)
         self.depth -= 1
         return w
 

@@ -3,10 +3,10 @@
 Words are kept freely reduced in run-length form: a tuple of
 (generator index, exponent) pairs with nonzero exponents and no two
 adjacent pairs sharing a generator.  Exponents are plain Python ints,
-so iterated endomorphism images never overflow.  A commutator or a
-power also remembers the words it was built from, so a group that
-evaluates it can commute or power their values instead of collecting
-the flattened word.
+so iterated endomorphism images never overflow.  A commutator, a power
+or a conjugate also remembers the words it was built from, so a group
+that evaluates it can commute, power or conjugate their values instead
+of collecting the flattened word.
 """
 
 from __future__ import annotations
@@ -51,21 +51,24 @@ class Alphabet:
         return "Alphabet(%s)" % ", ".join(self.names)
 
 
-def _reduce_runs(alphabet: Alphabet, runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    n = len(alphabet)
-    out: list[list[int]] = []
+def append_reduced(out: list[tuple[int, int]], runs: Iterable[tuple[int, int]], n: int):
+    """Append runs to out, a freely reduced list of syllables over n
+    generators, keeping it reduced: a run merges with, or cancels, the
+    last syllable of out, so the time is linear in runs and in what
+    cancels."""
     for gen, exp in runs:
         if not 0 <= gen < n:
             raise ValueError("generator index %r out of range" % (gen,))
-        if exp == 0:
-            continue
         if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
+
+
+def _reduce_runs(alphabet: Alphabet, runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
+    append_reduced(out, runs, len(alphabet))
+    return tuple(out)
 
 
 def _inverse(syllables: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -80,11 +83,17 @@ class Word:
 
     ``shape`` is ``("comm", u, v)`` for a word built as
     ``commutator(u, v)``, ``("pow", w, n)`` for one built as ``w**n``,
-    and None otherwise.  A power of a power is one power of the inner
-    base.  A power of a conjugate of one syllable, p * g^e * p^-1, has
-    no shape: it is p * g^(e*n) * p^-1, no longer than the word itself.
-    Equality, hashing and printing ignore the shape, and every other
-    operation returns a word without one.
+    ``("conj", w, v)`` for one built as ``w.conjugate(v)``, and None
+    otherwise.  Shapes fold, so that no chain of powers and conjugates
+    nests: a power of a power is one power of the inner base, a
+    conjugate of a conjugate is one conjugate by the product of the
+    conjugators, (w^u)^v = w^(u*v), and a power of a conjugate is the
+    conjugate of the power, (w^u)^n = (w^n)^u.  A conjugate whose
+    conjugator is longer than the word itself has no shape, and nor has
+    a power of a conjugate of one syllable, p * g^e * p^-1: it is
+    p * g^(e*n) * p^-1, no longer than the word.  Equality, hashing and
+    printing ignore the shape, and every other operation returns a word
+    without one.
     """
 
     __slots__ = ("alphabet", "syllables", "shape")
@@ -153,14 +162,25 @@ class Word:
             ((g, e),) = core
             return Word(self.alphabet, prefix + ((g, e * n),) + _inverse(prefix))
         power = (core if n > 0 else _inverse(core)) * abs(n)
-        base, m = self, 1
-        if self.shape is not None and self.shape[0] == "pow":
-            _, base, m = self.shape
-        return Word(self.alphabet, prefix + power + _inverse(prefix), ("pow", base, m * n))
+        shape = self.shape
+        if shape is not None and shape[0] == "conj":
+            shape = ("conj", shape[1] ** n, shape[2])
+        elif shape is not None and shape[0] == "pow":
+            shape = ("pow", shape[1], shape[2] * n)
+        else:
+            shape = ("pow", self, n)
+        return Word(self.alphabet, prefix + power + _inverse(prefix), shape)
 
     def conjugate(self, by: "Word") -> "Word":
-        """self**by in the exponent convention w^v = v^-1 * w * v."""
-        return by.inverse() * self * by
+        """self**by in the exponent convention w^v = v^-1 * w * v, of
+        shape ("conj", self, by) folded as the class docstring says."""
+        word = by.inverse() * self * by
+        base, conjugator = self, by
+        if self.shape is not None and self.shape[0] == "conj":
+            base, conjugator = self.shape[1], self.shape[2] * by
+        if len(conjugator.syllables) > len(word.syllables):
+            return word
+        return Word(self.alphabet, word.syllables, ("conj", base, conjugator))
 
     def exponent_vector(self) -> tuple[int, ...]:
         vec = [0] * len(self.alphabet)

@@ -256,6 +256,9 @@ def test_deeply_nested_word_is_a_parse_error(tmp_path, capsys):
     [
         # a power of a power is one power, so the chain has no depth
         pytest.param("a" + "^1" * 10_000, id="10000-link-power-chain"),
+        # a conjugate of a conjugate is one conjugate, and a power of a
+        # conjugate the conjugate of a power
+        pytest.param("(a*b)" + "^b^1^b^-1" * 5_000, id="10000-link-conjugate-chain"),
         # words nested as deep as the parser allows, as commutators
         pytest.param("[" * (MAX_NESTING - 1) + "a, a]" + ", b]" * (MAX_NESTING - 2), id="nested-commutators"),
     ],
@@ -314,6 +317,26 @@ def test_overlong_word_is_a_parse_error(tmp_path, capsys, word):
     assert "line 3" in err
     assert "longer than" in err
     assert "Traceback" not in err
+
+
+def test_quadratic_build_is_a_parse_error(tmp_path, capsys):
+    # each link conjugates and powers the whole word, which stays under
+    # MAX_WORD_LENGTH; a 100 KB file would build billions of syllables
+    path = tmp_path / "chain.lp"
+    path.write_text("group chain {\n  generators: a, b;\n  fixed: a%s;\n}\n" % ("^(a*b)^1" * 12_500))
+    assert path.stat().st_size > 100_000
+    code, _, err = run(capsys, "nq", "--file", str(path), "--max-class", "2")
+    assert code == 1
+    assert "line 3" in err
+    assert "builds more than" in err
+    assert "Traceback" not in err
+
+
+def test_long_product_parses_in_one_pass():
+    # 25,000 factors, reduced as they come rather than rebuilt each time
+    factors = ["a", "b", "b^-1", "a^2", "b^3"] * 5_000
+    pres = parse_one("group g { generators: a, b; fixed: %s; }" % "*".join(factors))
+    assert pres.fixed[0].syllables == ((0, 3), (1, 3)) * 5_000
 
 
 def test_million_exponent_reaches_class_four(tmp_path, capsys):

@@ -8,6 +8,7 @@ from relator_oracle import spun_relators
 
 from lpres.covers import build_cover, impose_relators, lift_through_definitions, trivial_system
 from lpres.lattices import AbelianInvariants, smith_invariants
+from lpres.pcgroups import PcPresentation
 from lpres.presentations import load_catalog, parse_one
 from lpres.words import Word
 
@@ -193,6 +194,34 @@ def test_enforced_covers_are_consistent(pres, c):
         system = impose_relators(cover)
         assert system.pc.is_consistent(prune=False)
         assert_normal_forms(system.pc, system.images)
+
+
+@pytest.mark.parametrize("pres, c", [case[1:] for case in CERTIFIED], ids=[case[0] for case in CERTIFIED])
+def test_overlap_right_sides_match_collecting_b_times_c_first(pres, c, monkeypatch):
+    """overlap_checks collects a*(b*c) of a comm triple as (a*c) * b^c.
+    On the inconsistent extensions that build_cover checks, each such
+    side, and that of each pow-conj triple, must be the normal form,
+    items in the same order, that collecting b*c and then a times it
+    gives."""
+    checks = PcPresentation.overlap_checks
+    seen = set()
+
+    def compared(pc, prune=True):
+        for kind, idx, lhs, rhs in checks(pc, prune):
+            if kind in ("comm", "pow-conj"):
+                a = (idx[0], 1 if kind == "comm" else pc.orders[idx[0]] - 1)
+                b, c = idx[-2:] if kind == "comm" else idx
+                expected = pc.mul({a[0]: a[1]}, pc.mul({b: 1}, {c: 1}))
+                assert list(rhs.items()) == list(expected.items()), (kind, idx)
+                seen.add(kind)
+            yield kind, idx, lhs, rhs
+
+    monkeypatch.setattr(PcPresentation, "overlap_checks", compared)
+    system = trivial_system(pres)
+    for _ in range(c):
+        system = impose_relators(build_cover(system))
+    # the catalog covers have triples of both kinds
+    assert seen == {"comm", "pow-conj"} or pres.name not in CERTIFIED_CLASSES
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "twisted_twin", "grigorchuk_supergroup", "basilica", "bsv"])

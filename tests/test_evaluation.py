@@ -1,9 +1,11 @@
 """Conjugation, commutators and relator evaluation against collection.
 
-PcPresentation.conjugate takes v off u * v instead of inverting v,
-comm_nf is u^-1 * u^v, and evaluate follows a word's commutator and
-power shape.  In a consistent presentation each must give the normal
-form that collecting the flattened word gives (collector_oracle.py).
+PcPresentation.conjugate conjugates u by the syllables of v below u
+through the cached images and takes the rest of v off u * v, so it
+never inverts v; comm_nf is u^-1 * u^v, and evaluate follows a word's
+commutator, power and conjugate shape.  In a consistent presentation
+each must give the normal form that collecting the flattened word
+gives (collector_oracle.py).
 The presentations are quotients and covers of the catalog groups at
 small classes, and class-3 quotients of random finitely presented
 groups, some of whose generators have infinite order.
@@ -107,6 +109,42 @@ def test_conjugate_and_commutator_match_collection_in_random_quotients(data):
     assert_matches_collection(pc, data)
 
 
+def low_conjugators(pc, data):
+    """u over the generators from some m on, and v with a syllable below
+    m whose exponent has several set bits, is negative, or is o - 1 for
+    a generator of finite order o, so conjugate takes those syllables
+    through the cached images one set bit at a time."""
+    m = data.draw(st.integers(1, pc.ngens - 1))
+    u = {g: e for g, e in data.draw(normal_forms(pc)).items() if g >= m}
+    u[m] = data.draw(st.integers(1, 5)) if pc.orders[m] is None else pc.orders[m] - 1
+    v = data.draw(normal_forms(pc))
+    for g in data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True)):
+        o = pc.orders[g]
+        choices = [o - 1] if o is not None else [-1, -7, -(2**20 + 5), 6, 2**30 + 7]
+        if o is not None and o > 3:
+            choices.append(3)
+        v[g] = data.draw(st.sampled_from(choices))
+    return {g: e for g, e in u.items() if e}, {g: e for g, e in v.items() if e}
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_conjugate_by_low_syllables_matches_collection(case, data):
+    pc = catalog_pc(case)
+    u, v = low_conjugators(pc, data)
+    assert pc.conjugate(u, v) == collected_conjugate(pc, u, v)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_conjugate_by_low_syllables_matches_collection_in_random_quotients(data):
+    pc = random_pc(data.draw(st.integers(0, RANDOM_SEEDS - 1)))
+    assume(pc.ngens > 1)
+    u, v = low_conjugators(pc, data)
+    assert pc.conjugate(u, v) == collected_conjugate(pc, u, v)
+
+
 def test_random_quotients_include_infinite_order():
     # the random sources must reach generators of infinite order, whose
     # conjugates by g^-1 the collected formulas take and conjugate avoids
@@ -118,6 +156,7 @@ LARGE_EXPONENTS = [-1, 5, -12, 2**40 + 3, -(10**15)]
 
 def word_texts(names):
     """Relator text with nested commutators, powers of powers,
+    conjugates, conjugates of conjugates and of powers, powers of
     conjugates and products; single generators take large exponents.
     A power's base is a product of two words, so that it is seldom a
     conjugate of one syllable, which powers without a shape."""
@@ -134,6 +173,9 @@ def word_texts(names):
             st.builds("(({}*{})^{})^{}".format, inner, inner, exponents, exponents),
             st.builds("{}*{}".format, inner, inner),
             st.builds("({})^({})".format, inner, inner),
+            st.builds("({})^({})^({})".format, inner, inner, inner),
+            st.builds("(({}*{})^{})^({})".format, inner, inner, exponents, inner),
+            st.builds("(({}*{})^({}))^{}".format, inner, inner, inner, exponents),
         )
 
     return st.recursive(atoms, extend, max_leaves=6)
@@ -168,8 +210,17 @@ def test_evaluate_by_shape_matches_flat_substitution(name, c, data):
     assert_evaluates_as_flat(cover, word)
 
 
-# negative powers of shaped bases, which random texts reach only now and then
-SHAPED = ["((a*b)^2)^-3", "([a, b^-5]*b)^-2", "[[a, b]^-1, (a*b^2)^3]", "[a, b]^-1"]
+# negative powers of shaped bases, and conjugates of conjugates and of
+# powers, which random texts reach only now and then
+SHAPED = [
+    "((a*b)^2)^-3",
+    "([a, b^-5]*b)^-2",
+    "[[a, b]^-1, (a*b^2)^3]",
+    "[a, b]^-1",
+    "((a*b)^b^-1)^(a^3)^-2",
+    "[a, b]^(b*a)^(a^-2*b)",
+    "(a^b)^(a^-1)",
+]
 
 
 @pytest.mark.parametrize("name, c", COVERS, ids=["%s-%d" % case for case in COVERS])

@@ -78,10 +78,42 @@ def test_shape_is_kept_by_commutators_and_powers_and_ignored_by_equality(abcd):
     power = (a * b) ** 3
     assert power.shape == ("pow", a * b, 3)
     assert power == Word(abcd, power.syllables) and hash(power) == hash(Word(abcd, power.syllables))
+    # a conjugate keeps its word and conjugator
+    conj = comm.conjugate(a)
+    assert conj.shape == ("conj", comm, a) and conj.shape[1].shape == ("comm", a, b * c)
+    assert conj == Word(abcd, conj.syllables) and hash(conj) == hash(Word(abcd, conj.syllables))
+    assert str(conj) == str(Word(abcd, conj.syllables)) == "a^-2*c^-1*b^-1*a*b*c*a"
     # every other operation returns a flat word
     sigma = FreeEndomorphism(abcd, [b, a, c, c])
-    for w in (comm * a, comm.inverse(), comm.conjugate(a), sigma(comm), Word(abcd, comm.syllables)):
+    for w in (comm * a, comm.inverse(), conj.inverse(), sigma(comm), sigma(conj), Word(abcd, comm.syllables)):
         assert w.shape is None
+
+
+def test_conjugates_fold_into_one_conjugate(abcd):
+    a, b, c = abcd.word("a"), abcd.word("b"), abcd.word("c")
+    ab = a * b
+    # (w^u)^v = w^(u*v)
+    w = ab.conjugate(c).conjugate(a)
+    assert w.shape == ("conj", ab, c * a)
+    assert w == ab.conjugate(c * a)
+    # conjugators that cancel leave the word's own shape inside
+    power = ab**2
+    back = power.conjugate(c).conjugate(c.inverse())
+    assert back == power and back.shape == ("conj", power, Word.identity(abcd))
+    # (w^u)^n = (w^n)^u
+    assert (ab.conjugate(c) ** -3).shape == ("conj", ab**-3, c)
+    assert (ab.conjugate(c) ** -3).shape[1].shape == ("pow", ab, -3)
+    assert ab.conjugate(c) ** -3 == (ab**-3).conjugate(c)
+    # a chain of conjugates and powers stays two shapes deep
+    chain = ab
+    for _ in range(10_000):
+        chain = chain.conjugate(b) ** -1
+    assert chain.shape == ("conj", ab**1, b**10_000)
+    assert chain.shape[1].shape == ("pow", ab, 1)
+    # a conjugator longer than the word gives a flat word
+    assert a.conjugate(c * b).shape == ("conj", a, c * b)
+    flat = Word(abcd, (c * b * a * b.inverse() * c.inverse()).syllables)
+    assert flat.conjugate(c * b) == a and flat.conjugate(c * b).shape is None
 
 
 def test_power_of_a_power_is_one_power(abcd):
