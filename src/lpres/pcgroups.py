@@ -20,8 +20,9 @@ and pushes the segment above g, conjugated by g^e, back on the stack.
 The segment stops at the first generator of weight > nclass - w_g:
 that one and all above it commute with g by weight, as no conjugation
 relation exists past the class, so they stay in u.  The generators of
-u that some segment can reach are kept in a sorted list for the length
-of a product, and the segment is a slice of it.
+u that some segment can reach are kept as the bits of one integer for
+the length of a product, and the segment is that integer masked by a
+range of bits precomputed for g.
 Conjugation is only ever by g^(+-2^k), from the cached images of the
 generators under it: a syllable g^e with any other exponent is split
 into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
@@ -30,9 +31,9 @@ left", J. Symbolic Comput. 9, 1990).  The blocks of syllables that
 collection pushes again and again are collected once per presentation
 state: the power tail of g to the power of a carry, and the image of
 g_j under g^(+-2^k) to the power of its exponent, are kept as syllable
-lists beside the cached images, and all of them are dropped whenever
-the presentation changes (add_generator, set_power_tail,
-set_conj_tail, clear_caches).
+lists beside the cached images, so a conjugated syllable costs one
+lookup, and all of them are dropped whenever the presentation changes
+(add_generator, set_power_tail, set_conj_tail, clear_caches).
 
 Conjugates and commutators never invert the conjugating element.  For
 u^v, each syllable g^e of v below the lowest generator of u conjugates
@@ -100,7 +101,7 @@ class PcPresentation:
         "definitions",
         "abelian_image",
         "_cache",
-        "_bounds",
+        "_masks",
     )
 
     def __init__(self, nfree: int):
@@ -113,11 +114,12 @@ class PcPresentation:
         self.abelian_image: list[tuple[int, ...]] = []
         # cleared by clear_caches whenever the presentation changes:
         #   (g, s, j)     conj_gen_nf(g, s, j)
-        #   (g, s, j, f)  its power f, as syllables to push
-        #   (g, carry)    the power tail of g to the power carry, likewise
+        #   (g, s, j, f)  its power f, as syllables to push; g_j^f itself
+        #                 when g_j commutes with g_g^s
+        #   (g, carry)    the power tail of g to the power carry, as syllables
         self._cache: dict[tuple[int, ...], dict[int, int] | list[tuple[int, int]]] = {}
-        # likewise: _segment_bounds()
-        self._bounds: Optional[list[int]] = None
+        # likewise: _segment_masks()
+        self._masks: Optional[list[int]] = None
 
     # ------------------------------------------------------------ structure
 
@@ -173,15 +175,19 @@ class PcPresentation:
 
     def clear_caches(self):
         self._cache.clear()
-        self._bounds = None
+        self._masks = None
 
-    def _segment_bounds(self) -> list[int]:
-        """For each generator g, the index of the first generator of
-        weight > nclass - w_g: it and all above it commute with g."""
-        if self._bounds is None:
+    def _segment_masks(self) -> list[int]:
+        """For each generator g, the bits of the generators strictly
+        between g and the first generator of weight > nclass - w_g: that
+        one and all above it commute with g."""
+        if self._masks is None:
             w, c = self.weights, self.nclass
-            self._bounds = [bisect_right(w, c - wg) for wg in w]
-        return self._bounds
+            self._masks = [
+                (1 << b) - (2 << g) if b > g + 1 else 0
+                for g, b in enumerate(bisect_right(w, c - wg) for wg in w)
+            ]
+        return self._masks
 
     def copy(self) -> "PcPresentation":
         twin = PcPresentation(self.nfree)
@@ -209,32 +215,34 @@ class PcPresentation:
         rest * segment^(g^e), and collection only moves the segment: it
         is popped off out, and its conjugate, then the power tail of any
         carry past the order of g, go on the stack to be collected next.
-        The generators of out below the largest bound, that of g_0, are
-        kept in a sorted list for the length of the call, so the segment
-        is a slice of it; no segment reaches the others.  The segment is
-        conjugated by g^(+-2^k) only: for any other e, g^e is split into
-        g^low for the lowest set bit of e, collected now, and g^(e-low),
-        pushed to follow the conjugated segment.  The power tail to the
-        power of a carry, and each conjugated syllable of the segment,
-        are collected once and then taken from the cache until the
-        presentation changes.
+        The generators of out that some segment can reach, those below
+        the bound of g_0, are kept as the bits of one integer for the
+        length of the call, so the segment is that integer masked by
+        the range of g, popped from its highest bit down.  The segment
+        is conjugated by g^(+-2^k) only: for any other e, g^e is split
+        into g^low for the lowest set bit of e, collected now, and
+        g^(e-low), pushed to follow the conjugated segment.  The power
+        tail to the power of a carry, and each conjugated syllable of
+        the segment, are collected once and then taken from the cache,
+        by one lookup each, until the presentation changes.
         """
-        bounds = self._segment_bounds()
-        orders, tails = self.orders, self.power_tails
-        top = bounds[0] if bounds else 0
-        keys = sorted([k for k in out if k < top])
+        ranges = self._segment_masks()
+        orders, tails, cache = self.orders, self.power_tails, self._cache
+        top = ranges[0].bit_length() if ranges else 0
+        mask = 0
+        for k in out:
+            if k < top:
+                mask |= 1 << k
         while stack:
             g, e = stack.pop()
             if not e:
                 continue
-            segment = None
+            segment = 0
             listed = g < top
             if listed:
-                lo = bisect_right(keys, g)
-                hi = bisect_left(keys, bounds[g], lo)
-                if lo < hi:
-                    segment = [(k, out.pop(k)) for k in keys[lo:hi]]
-                    del keys[lo:hi]
+                segment = mask & ranges[g]
+                if segment:
+                    mask ^= segment
                     low = e & -e
                     if low != abs(e):
                         low = low if e > 0 else -low
@@ -249,31 +257,32 @@ class PcPresentation:
             if total:
                 out[g] = total
                 if listed and not before:
-                    keys.insert(lo, g)
+                    mask |= 1 << g
             elif before:
                 del out[g]
                 if listed:
-                    del keys[lo - 1]
-            if segment:
-                stack += self._conjugate_syllables(g, e, segment)
+                    mask ^= 1 << g
+            while segment:
+                j = segment.bit_length() - 1
+                segment ^= 1 << j
+                key = (g, e, j, out.pop(j))
+                syllables = cache.get(key)
+                stack += self._conjugated_power(key) if syllables is None else syllables
             if carry and g in tails:
                 stack += self._pushed_power((g, carry), tails[g], carry)
         return out
 
-    def _conjugate_syllables(
-        self, g: int, s: int, segment: list[tuple[int, int]]
-    ) -> list[tuple[int, int]]:
-        """Syllables of a sorted segment over generators > g, conjugated by
-        g_g^s for s = +-2^k, in reverse order to be pushed on a stack."""
-        out: list[tuple[int, int]] = []
-        for j, f in reversed(segment):
-            image = self.conj_gen_nf(g, s, j)
-            if len(image) == 1:
-                # g_j commutes with g_g^s, so its power is g_j^f
-                out.append((j, f))
-            else:
-                out += self._pushed_power((g, s, j, f), image, f)
-        return out
+    def _conjugated_power(self, key: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+        """Syllables of g_j^f conjugated by g_g^s for key (g, s, j, f), in
+        reverse order to be pushed on a stack, collected once under key
+        until a relation changes."""
+        g, s, j, f = key
+        image = self.conj_gen_nf(g, s, j)
+        if len(image) == 1:
+            # g_j commutes with g_g^s, so its power is g_j^f
+            syllables = self._cache[key] = [(j, f)]
+            return syllables
+        return self._pushed_power(key, image, f)
 
     def _pushed_power(self, key: tuple[int, ...], nf: dict[int, int], k: int) -> list[tuple[int, int]]:
         """Syllables of nf^k in reverse order, to be pushed on a stack,
@@ -395,8 +404,15 @@ class PcPresentation:
         return res
 
     def _conj_nf(self, nf: dict[int, int], g: int, s: int) -> dict[int, int]:
-        """Conjugate a normal form over generators > g by g_g^s, s = +-2^k."""
-        return self._collect({}, self._conjugate_syllables(g, s, sorted(nf.items())))
+        """Conjugate a normal form over generators > g by g_g^s, s = +-2^k,
+        one cache lookup per syllable as in _collect."""
+        cache = self._cache
+        stack: list[tuple[int, int]] = []
+        for j, f in sorted(nf.items(), reverse=True):
+            key = (g, s, j, f)
+            syllables = cache.get(key)
+            stack += self._conjugated_power(key) if syllables is None else syllables
+        return self._collect({}, stack)
 
     def substitute(
         self, images: Sequence[dict[int, int]], syllables: Iterable[tuple[int, int]]

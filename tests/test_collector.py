@@ -183,7 +183,11 @@ def test_memo_is_cleared_when_a_relation_changes():
         change()
         assert_matches(pc, elements)
         assert any(len(k) == 2 and k[1] not in (0, 1) for k in pc._cache), "no carry past 0, 1"
-        assert any(len(k) == 4 and k[3] not in (0, 1) for k in pc._cache), "no conjugate power"
+        # a 4-tuple key also holds g_j^f itself when g_j commutes with
+        # the conjugator; a conjugate power is an entry that differs
+        assert any(
+            len(k) == 4 and k[3] not in (0, 1) and v != [(k[2], k[3])] for k, v in pc._cache.items()
+        ), "no conjugate power"
         assert any(
             len(k) == 2 and k[1] >= 2 and pc.weights[k[0]] == pc.nclass for k in pc._cache
         ), "no top-weight carry past 1"
@@ -215,23 +219,77 @@ def test_extending_a_presentation_drops_its_segment_bounds():
     # the segment of g ends at the first generator of weight above
     # nclass - w_g; collect in the free nilpotent group of class 2 on
     # a, b, then extend it in place to class 3 with [c, a] and [c, b]
-    # for c = [b, a], and every product must follow the new class
+    # for c = [b, a], of order 4, and every product must follow the new
+    # class; then change relations in place, each change keeping the
+    # presentation consistent, and every product must follow the change
+    # with the memo of the previous state warm
     pc = nilpotent_quotient(parse_one("group f { generators: a, b; }"), 2).pc
     assert pc.weights == [1, 1, 2] and pc.conj == {(0, 1): {2: 1}}
     rng = random.Random(17)
 
     def assert_matches(pc):
         ref = ReferenceCollector(pc)
-        elements = [{g: rng.randint(-3, 3) for g in range(pc.ngens)} for _ in range(6)]
+        elements = [
+            {g: rng.randint(-3, 3) if o is None else rng.randrange(o) for g, o in enumerate(pc.orders)}
+            for _ in range(6)
+        ]
         elements = [{g: e for g, e in u.items() if e} for u in elements]
         for u in elements:
             assert pc.inv(u) == ref.inv(u)
+            assert pc.pow_nf(u, 3) == ref.pow_nf(u, 3)
             for v in elements:
                 assert pc.mul(u, v) == ref.mul(u, v)
 
     assert_matches(pc)
     for j in (0, 1):
-        g = pc.add_generator(None, 3, ("conj", j, 2), (0, 0))
+        g = pc.add_generator(4, 3, ("conj", j, 2), (0, 0))
         pc.set_conj_tail(j, 2, {g: 1})
     assert pc.mul({2: 1}, {0: 1}) == {0: 1, 2: 1, 3: 1}
     assert_matches(pc)
+    # c^a = c * [c, a]^-1: the class-3 layer is central, so this only
+    # renames [c, a]
+    pc.set_conj_tail(0, 2, {3: 3})
+    assert pc.mul({2: 1}, {0: 1}) == {0: 1, 2: 1, 3: 3}
+    assert_matches(pc)
+    # [c, a]^4 = [c, b]^2, a quotient by a central subgroup
+    pc.set_power_tail(3, {4: 2})
+    assert pc.mul({3: 2}, {3: 2}) == {4: 2}
+    assert_matches(pc)
+    # a relation changed in place, then the caches dropped
+    pc.conj[(1, 2)] = {4: 3}
+    pc.clear_caches()
+    assert pc.mul({2: 1}, {1: 1}) == {1: 1, 2: 1, 4: 3}
+    assert_matches(pc)
+
+
+def test_collection_past_one_machine_word():
+    # the class-4 quotient of the free product of six cyclic groups of
+    # order 4 has 406 pc generators, 91 of which some segment can reach,
+    # so the bits of a word's reachable generators do not fit in 64
+    pres = parse_one("group g { generators: a, b, c, d, e, f; fixed: a^4, b^4, c^4, d^4, e^4, f^4; }")
+    pc = nilpotent_quotient(pres, 4).pc
+    ref = ReferenceCollector(pc)
+    top = pc._segment_masks()[0].bit_length()
+    assert (pc.ngens, top) == (406, 91)
+    rng = random.Random(3)
+
+    def element(size):
+        u = {g: rng.randrange(pc.orders[g]) for g in rng.sample(range(pc.ngens), size)}
+        return {g: e for g, e in u.items() if e}
+
+    elements = [element(12) for _ in range(4)]
+    for u in elements:
+        assert pc.inv(u) == ref.inv(u)
+        for k in (-3, 2, 5):
+            assert pc.pow_nf(u, k) == ref.pow_nf(u, k)
+        for v in elements:
+            assert pc.mul(u, v) == ref.mul(u, v)
+    # one syllable collected in place onto a word that already holds
+    # top-weight generators, as left_quotient does
+    for _ in range(20):
+        u = element(20)
+        u.update((g, rng.randrange(1, pc.orders[g])) for g in rng.sample(range(top, pc.ngens), 5))
+        g = rng.randrange(top)
+        e = rng.randrange(1, pc.orders[g])
+        expected = ref.mul(u, {g: e})
+        assert pc._collect(dict(u), [(g, e)]) == expected
