@@ -94,11 +94,13 @@ def _rank_if_elementary(invariants) -> int | None:
 def _cmd_nq(args) -> int:
     name, pres = _load(args)
     results = []
+    layers = []
     last = 0
     t_prev = time.perf_counter()
     for c, system in quotient_tower(pres, args.max_class):
         t_now = time.perf_counter()
         layer = system.pc.lcs_factor(c)
+        layers.append(layer)
         order = system.order()
         results.append(
             {
@@ -119,22 +121,15 @@ def _cmd_nq(args) -> int:
             payload["stabilized_at"] = last
         print(json.dumps(payload, indent=2))
         return 0
-    for row in results:
-        layer = _render(row)
+    for layer, row in zip(layers, results):
         order = "infinite" if row["order"] is None else row["order"]
-        line = "c=%d: layer %s, order %s" % (row["c"], layer, order)
+        line = "c=%d: layer %s, order %s" % (row["c"], layer.render(), order)
         if args.timing:
             line += "  [%.1f ms]" % row["t_ms"]
         print(line)
     if stabilized:
         print("series stabilizes at class %d" % last)
     return 0
-
-
-def _render(row) -> str:
-    from .lattices import AbelianInvariants
-
-    return AbelianInvariants(row["free_rank"], tuple(row["torsion"])).render()
 
 
 # ------------------------------------------------------------------ dwyer
@@ -153,12 +148,13 @@ def _step_record(step: DwyerStep) -> dict:
 
 def _cmd_dwyer(args) -> int:
     name, pres = _load(args)
-    results = [_step_record(s) for s in dwyer_range(pres, args.max_class)]
+    steps = dwyer_range(pres, args.max_class)
+    results = [_step_record(s) for s in steps]
     if args.json:
         print(json.dumps({"group": name, "results": results}, indent=2))
         return 0
-    for row in results:
-        line = "c=%d: %s" % (row["c"], _render(row))
+    for step, row in zip(steps, results):
+        line = "c=%d: %s" % (row["c"], step.invariants.render())
         if args.timing:
             line += "  [quotient %.1f ms, dwyer %.1f ms]" % (
                 row["t_quotient_ms"],

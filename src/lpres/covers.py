@@ -23,8 +23,8 @@ from typing import Iterable, Optional
 from .lattices import (
     AbelianInvariants,
     HNFBasis,
+    echelon,
     hnf,
-    hnf_sparse,
     left_kernel,
     matrix_product,
     spin_closure,
@@ -108,30 +108,35 @@ def lift_through_definitions(
     return ims
 
 
-def _apply_central_rows(pc: PcPresentation, images: list[dict[int, int]], basis: HNFBasis):
-    """Quotient the central block, read as Z^ncols, by the lattice of
-    basis, then renumber: one pass, with no collection.
+def _apply_central_rows(
+    pc: PcPresentation, images: list[dict[int, int]], cs: int, rows: Iterable[dict[int, int]]
+):
+    """Quotient the central block, the generators from cs on read as
+    Z^ncols, by the lattice the sparse rows span, then renumber: one
+    pass, with no collection.
 
-    The normal form of a block element is its canonical remainder
-    modulo the HNF: zero at a unit pivot column, in [0, d) at a pivot
-    d > 1, and any integer at a column without a pivot.  So a unit
-    pivot eliminates its generator, a pivot d > 1 at column p becomes a
-    relative order whose power tail is the remainder of d * e_p, and
-    every stored tail and image keeps its part below the block and
-    takes the remainder of its block part.  The orders and power tails
-    the block had before are replaced, so the lattice must contain the
-    relations they stood for.
+    The rows may be any generating set; they are inserted into one
+    echelon, kept in canonical HNF, and the normal form of a block
+    element is its canonical remainder modulo it: zero at a unit pivot
+    column, in [0, d) at a pivot d > 1, and any integer at a column
+    without a pivot.  So a unit pivot eliminates its generator, a pivot
+    d > 1 at column p becomes a relative order whose power tail is the
+    remainder of d * e_p, and every stored tail and image keeps its part
+    below the block and takes the remainder of its block part.  The
+    orders and power tails the block had before are replaced, so the
+    lattice must contain the relations they stood for.
     """
-    cs = pc.ngens - basis.ncols
-    pivot = {p: row[p] for row, p in zip(basis.rows, basis.pivots)}
-    kept = [c for c in range(basis.ncols) if pivot.get(c) != 1]
+    ncols = pc.ngens - cs
+    lattice = echelon(rows, ncols)
+    pivot = {p: lattice.rows[p][p] for p in sorted(lattice.rows)}
+    kept = [c for c in range(ncols) if pivot.get(c) != 1]
     renumber = {c: cs + t for t, c in enumerate(kept)}
 
     def normal(nf: dict[int, int]) -> dict[int, int]:
         out = {g: e for g, e in nf.items() if g < cs}
         block = {g - cs: e for g, e in nf.items() if g >= cs}
         if block:
-            out.update((renumber[c], e) for c, e in basis.remainder(block).items())
+            out.update((renumber[c], e) for c, e in lattice.reduce(block).items())
         return out
 
     tails = {i: normal(t) for i, t in pc.power_tails.items() if i < cs}
@@ -285,7 +290,7 @@ def build_cover(system: QuotientSystem) -> Cover:
             images[s] = fresh(("freetail", s), ab, images[s])
 
     # overlap checks become relations between the central generators,
-    # collected first so that hnf_sparse can insert them right to left;
+    # collected first so that the echelon can insert them right to left;
     # each must vanish in the cover's abelianization, as it does when it
     # meets no central generator of nonzero abelian image
     abelian = {k for k, v in enumerate(pc.abelian_image[cs:]) if any(v)}
@@ -307,7 +312,7 @@ def build_cover(system: QuotientSystem) -> Cover:
             raise AssertionError("consistency relation with nonzero abelianization")
         rows.append(row)
 
-    _apply_central_rows(pc, images, hnf_sparse(rows, pc.ngens - cs))
+    _apply_central_rows(pc, images, cs, rows)
     return Cover(pres, pc, images, cs)
 
 
@@ -318,5 +323,6 @@ def impose_relators(cover: Cover) -> QuotientSystem:
     the central block replace the cover's."""
     pc = cover.pc.copy()
     images = list(cover.lift_images)
-    _apply_central_rows(pc, images, cover.relator_lattice)
+    rows = [dict(enumerate(r)) for r in cover.relator_lattice.rows]
+    _apply_central_rows(pc, images, cover.base_ngens, rows)
     return QuotientSystem(cover.pres, pc, images)

@@ -13,8 +13,9 @@ from the echelon: Smith invariants alternate row and column HNF until
 the matrix is diagonal, and the invariants of a subgroup of a quotient
 of Z^n are read off a left kernel.
 
-Every echelon is built from its rows in one place, `_echelon` behind
-`hnf_sparse`, which inserts them by decreasing leading column.  Storing a
+Every echelon is built from its rows in one place, `echelon`, which
+inserts them by decreasing leading column; `hnf_sparse` reads its rows
+off, and the central quotient in covers.py reduces against it.  Storing a
 new pivot reduces its column in every row with a smaller pivot; fed
 right to left, a stored row finds few such rows, so the back-reduction
 that keeps the echelon canonical stays small.  The canonical HNF is
@@ -66,52 +67,17 @@ def matrix_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
     return [row_times_matrix(row, b) for row in a]
 
 
-class HNFBasis:
-    """Canonical basis of a sublattice of Z^ncols, with the sparse
-    echelon it was read off.  Immutable; equality and hashing read the
-    rows, pivots and ncols, not the echelon."""
+class HNFBasis(NamedTuple):
+    """Canonical basis of a sublattice of Z^ncols: the HNF rows, dense,
+    and the pivot column of each."""
 
-    __slots__ = ("rows", "pivots", "ncols", "_echelon")
-
-    def __init__(
-        self,
-        rows: tuple[tuple[int, ...], ...],
-        pivots: tuple[int, ...],
-        ncols: int,
-        echelon: _SparseEchelon,
-    ):
-        for name, value in zip(self.__slots__, (rows, pivots, ncols, echelon)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def _key(self) -> tuple:
-        return self.rows, self.pivots, self.ncols
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "HNFBasis(rows=%r, pivots=%r, ncols=%r)" % self._key()
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    ncols: int
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def remainder(self, row: dict[int, int]) -> dict[int, int]:
-        """The canonical remainder of a sparse row modulo the lattice:
-        zero at a unit pivot column, in [0, d) at a pivot d, and empty
-        exactly when the row lies in the lattice."""
-        return self._echelon.reduce(row)
 
 
 def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
@@ -134,10 +100,10 @@ class _SparseEchelon:
     pivot column is clear in every other row.  Keeping the entries
     reduced also stops the coefficient growth of unreduced integer
     elimination.  This is the one echelon behind hnf_sparse, hnf,
-    left_kernel, spin_closure, smith_invariants and subgroup_invariants;
-    `_echelon` builds it from rows, and spin_closure alone inserts into
-    it afterwards, one remainder at a time.  The HNFBasis read off it
-    keeps it, to reduce against it in HNFBasis.remainder.
+    left_kernel, spin_closure, smith_invariants and subgroup_invariants,
+    and the one the central block of a cover is reduced against;
+    `echelon` builds it from rows, and spin_closure alone inserts into
+    it afterwards, one remainder at a time.
     """
 
     def __init__(self):
@@ -225,7 +191,7 @@ class _SparseEchelon:
             for k, v in self.rows[p].items():
                 row[k] = v
             dense.append(tuple(row))
-        return HNFBasis(tuple(dense), tuple(pivots), ncols, self)
+        return HNFBasis(tuple(dense), tuple(pivots), ncols)
 
 
 def hnf_sparse(rows: Iterable[dict[int, int]], ncols: int) -> HNFBasis:
@@ -234,10 +200,10 @@ def hnf_sparse(rows: Iterable[dict[int, int]], ncols: int) -> HNFBasis:
     Each row maps columns in [0, ncols) to entries; empty rows span
     nothing and are dropped.
     """
-    return _echelon(rows, ncols).canonical(ncols)
+    return echelon(rows, ncols).canonical(ncols)
 
 
-def _echelon(rows: Iterable[dict[int, int]], ncols: int) -> _SparseEchelon:
+def echelon(rows: Iterable[dict[int, int]], ncols: int) -> _SparseEchelon:
     """An echelon holding the lattice spanned by sparse rows in Z^ncols,
     inserted by decreasing leading column."""
     nonzero = []
@@ -248,10 +214,10 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int) -> _SparseEchelon:
                 raise ValueError("row column outside [0, %d)" % ncols)
             nonzero.append(r)
     nonzero.sort(key=min, reverse=True)
-    echelon = _SparseEchelon()
+    lattice = _SparseEchelon()
     for r in nonzero:
-        echelon.insert(r)
-    return echelon
+        lattice.insert(r)
+    return lattice
 
 
 def _sparse(rows: Iterable[Sequence[int]], ncols: int) -> list[dict[int, int]]:
@@ -449,7 +415,7 @@ def spin_closure(
         ncols = len(seeds[0])
     if any(len(mat) != ncols or any(len(row) != ncols for row in mat) for mat in matrices):
         raise ValueError("every matrix must be ncols x ncols")
-    echelon = _echelon(_sparse(seeds, ncols), ncols)
+    lattice = echelon(_sparse(seeds, ncols), ncols)
     queue = seeds
     head = 0
     while head < len(queue):
@@ -457,8 +423,8 @@ def spin_closure(
         head += 1
         for mat in matrices:
             img = row_times_matrix(vec, mat)
-            remainder = echelon.reduce(dict(enumerate(img)))
+            remainder = lattice.reduce(dict(enumerate(img)))
             if remainder:
-                echelon.insert(remainder)
+                lattice.insert(remainder)
                 queue.append(img)
-    return echelon.canonical(ncols)
+    return lattice.canonical(ncols)

@@ -31,9 +31,10 @@ left", J. Symbolic Comput. 9, 1990).  The blocks of syllables that
 collection pushes again and again are collected once per presentation
 state: the power tail of g to the power of a carry, and the image of
 g_j under g^(+-2^k) to the power of its exponent, are kept as syllable
-lists beside the cached images, so a conjugated syllable costs one
-lookup, and all of them are dropped whenever the presentation changes
-(add_generator, set_power_tail, set_conj_tail, clear_caches).
+lists beside the cached images, so a carry or a conjugated syllable
+costs one lookup, a miss on either is filled in one place, and all of
+them are dropped whenever the presentation changes (add_generator,
+set_power_tail, set_conj_tail, clear_caches).
 
 Conjugates and commutators never invert the conjugating element.  For
 u^v, each syllable g^e of v below the lowest generator of u conjugates
@@ -223,8 +224,9 @@ class PcPresentation:
         into g^low for the lowest set bit of e, collected now, and
         g^(e-low), pushed to follow the conjugated segment.  The power
         tail to the power of a carry, and each conjugated syllable of
-        the segment, are collected once and then taken from the cache,
-        by one lookup each, until the presentation changes.
+        the segment, are blocks taken from the cache by one lookup
+        each; _block collects a missing one, once until the
+        presentation changes.
         """
         ranges = self._segment_masks()
         orders, tails, cache = self.orders, self.power_tails, self._cache
@@ -267,30 +269,30 @@ class PcPresentation:
                 segment ^= 1 << j
                 key = (g, e, j, out.pop(j))
                 syllables = cache.get(key)
-                stack += self._conjugated_power(key) if syllables is None else syllables
+                stack += self._block(key) if syllables is None else syllables
             if carry and g in tails:
-                stack += self._pushed_power((g, carry), tails[g], carry)
+                key = (g, carry)
+                syllables = cache.get(key)
+                stack += self._block(key) if syllables is None else syllables
         return out
 
-    def _conjugated_power(self, key: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-        """Syllables of g_j^f conjugated by g_g^s for key (g, s, j, f), in
-        reverse order to be pushed on a stack, collected once under key
-        until a relation changes."""
-        g, s, j, f = key
-        image = self.conj_gen_nf(g, s, j)
-        if len(image) == 1:
-            # g_j commutes with g_g^s, so its power is g_j^f
-            syllables = self._cache[key] = [(j, f)]
-            return syllables
-        return self._pushed_power(key, image, f)
-
-    def _pushed_power(self, key: tuple[int, ...], nf: dict[int, int], k: int) -> list[tuple[int, int]]:
-        """Syllables of nf^k in reverse order, to be pushed on a stack,
-        collected once under key until a relation changes."""
-        syllables = self._cache.get(key)
-        if syllables is None:
-            power = nf if k == 1 else self.pow_nf(nf, k)
-            syllables = self._cache[key] = sorted(power.items(), reverse=True)
+    def _block(self, key: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Syllables of a block collection pushes, in reverse order, for a
+        cache miss on key: the power tail of g_g to the power carry for
+        key (g, carry), g_j^f conjugated by g_g^s for key (g, s, j, f).
+        Collected once and cached under key until a relation changes."""
+        if len(key) == 2:
+            g, k = key
+            nf = self.power_tails[g]
+        else:
+            g, s, j, k = key
+            nf = self.conj_gen_nf(g, s, j)
+            if len(nf) == 1:
+                # g_j commutes with g_g^s, so its power is g_j^f
+                syllables = self._cache[key] = [(j, k)]
+                return syllables
+        power = nf if k == 1 else self.pow_nf(nf, k)
+        syllables = self._cache[key] = sorted(power.items(), reverse=True)
         return syllables
 
     def inv(self, u: dict[int, int]) -> dict[int, int]:
@@ -411,7 +413,7 @@ class PcPresentation:
         for j, f in sorted(nf.items(), reverse=True):
             key = (g, s, j, f)
             syllables = cache.get(key)
-            stack += self._conjugated_power(key) if syllables is None else syllables
+            stack += self._block(key) if syllables is None else syllables
         return self._collect({}, stack)
 
     def substitute(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lpres.cli import main
-from lpres.presentations import MAX_NESTING, parse_one
+from lpres.presentations import MAX_NESTING, catalog_names, parse_one
 from lpres.quotients import abelian_quotient
 
 KLEIN = """
@@ -163,6 +163,22 @@ def test_adjust_json(capsys):
     assert payload["abelianization"] == "Z^2"
     assert payload["basis"] == []
     assert len(payload["iterated_consequences"]) == 2
+
+
+# The adjusted presentation and the --json record of each catalog group,
+# as lpres adjust prints them; they are the adjustment golden values.
+ADJUST_GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "adjust_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_adjust_output_is_pinned_for_every_catalog_group(capsys, name):
+    pinned = ADJUST_GOLDEN[name]
+    code, out, _ = run(capsys, "adjust", "--group", name)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in pinned["text"])
+    code, out, _ = run(capsys, "adjust", "--group", name, "--json")
+    assert code == 0
+    assert out == json.dumps(pinned["json"], indent=2) + "\n"
 
 
 def test_check_conjecture_ok(capsys):

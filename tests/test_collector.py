@@ -210,7 +210,8 @@ def test_memo_is_cleared_when_a_relation_changes():
     # the central block: impose the relator lattice on the warmed cover
     # in place, so that generators are dropped and renumbered under it
     assert_matches(pc, elements)
-    _apply_central_rows(pc, cover.lift_images, cover.relator_lattice)
+    rows = [dict(enumerate(r)) for r in cover.relator_lattice.rows]
+    _apply_central_rows(pc, cover.lift_images, cover.base_ngens, rows)
     elements = sample()
     assert_matches(ReferenceCollector(pc), elements)
 

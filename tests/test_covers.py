@@ -6,8 +6,9 @@ import pytest
 from conftest import ACCEPTANCE_CLASSES
 from relator_oracle import spun_relators
 
+from lpres import covers
 from lpres.covers import build_cover, impose_relators, lift_through_definitions, trivial_system
-from lpres.lattices import AbelianInvariants, smith_invariants
+from lpres.lattices import AbelianInvariants, hnf_sparse, smith_invariants
 from lpres.pcgroups import PcPresentation
 from lpres.presentations import load_catalog, parse_one
 from lpres.words import Word
@@ -252,6 +253,54 @@ def test_consistency_rows_must_vanish_in_the_abelianization():
     system.pc.abelian_image[2] = (1, 1)
     with pytest.raises(AssertionError, match="nonzero abelianization"):
         build_cover(system)
+
+
+def test_central_quotient_depends_only_on_the_lattice_its_rows_span(monkeypatch):
+    """The central block is quotiented by the lattice the rows span, not
+    by the rows: the consistency rows of build_cover and the relator
+    lattice of impose_relators, shuffled, duplicated, or each changed by
+    an integer combination of the others, give the presentation and
+    images that the HNF rows of their lattice give."""
+    calls = []
+    apply = covers._apply_central_rows
+
+    def record(pc, images, cs, rows):
+        rows = list(rows)
+        calls.append((pc.copy(), [dict(im) for im in images], cs, rows))
+        apply(pc, images, cs, rows)
+
+    monkeypatch.setattr(covers, "_apply_central_rows", record)
+    for name, c in [
+        ("grigorchuk", 5),
+        ("twisted_twin", 3),
+        ("grigorchuk_supergroup", 3),
+        ("basilica", 4),
+        ("bsv", 4),
+    ]:
+        tower(load_catalog(name), c)
+    assert len(calls) == 38
+
+    def imposed(pc, images, cs, rows):
+        pc, images = pc.copy(), [dict(im) for im in images]
+        apply(pc, images, cs, rows)
+        fields = (pc.orders, pc.weights, pc.power_tails, pc.conj, pc.definitions, pc.abelian_image)
+        return fields + (images,)
+
+    rng = random.Random(23)
+    for pc, images, cs, rows in calls:
+        basis = hnf_sparse(rows, pc.ngens - cs)
+        expected = imposed(pc, images, cs, [dict(enumerate(r)) for r in basis.rows])
+        shuffled = rng.sample(rows, len(rows))
+        duplicated = rows + [r for r in rows if rng.random() < 0.5]
+        combined = [dict(r) for r in shuffled]
+        for row in combined:
+            for other in rng.sample(combined, min(2, len(combined))):
+                if other is not row:
+                    f = rng.randint(-3, 3)
+                    for k, v in other.items():
+                        row[k] = row.get(k, 0) + f * v
+        for generating in (rows, shuffled, duplicated, combined):
+            assert imposed(pc, images, cs, generating) == expected
 
 
 def test_relator_values_are_central():
