@@ -290,24 +290,36 @@ def build_cover(system: QuotientSystem) -> Cover:
             images[s] = fresh(("freetail", s), ab, images[s])
 
     # overlap checks become relations between the central generators,
-    # collected first so that the echelon can insert them right to left;
-    # each must vanish in the cover's abelianization, as it does when it
-    # meets no central generator of nonzero abelian image
+    # collected first so that the echelon can insert them right to left.
+    # A row is read off the central keys of lhs, then of rhs; every other
+    # key must agree on both sides.  Each row must vanish in the cover's
+    # abelianization, as it does when it meets no central generator of
+    # nonzero abelian image
     abelian = {k for k, v in enumerate(pc.abelian_image[cs:]) if any(v)}
     rows = []
     for kind, idx, lhs, rhs in pc.overlap_checks(prune=True):
-        if lhs == rhs:
+        row, clash = {}, False
+        for k, v in lhs.items():
+            if k >= cs:
+                row[k - cs] = v
+            elif rhs.get(k) != v:
+                clash = True
+        for k, v in rhs.items():
+            if k >= cs:
+                k -= cs
+                d = row.get(k, 0) - v
+                if d:
+                    row[k] = d
+                else:
+                    del row[k]
+            elif k not in lhs:
+                clash = True
+        if clash:
+            raise AssertionError(
+                "inconsistent cover: %s overlap %r differs outside the center" % (kind, idx)
+            )
+        if not row:
             continue
-        row = {}
-        for k in lhs.keys() | rhs.keys():
-            d = lhs.get(k, 0) - rhs.get(k, 0)
-            if d:
-                if k < cs:
-                    raise AssertionError(
-                        "inconsistent cover: %s overlap %r differs outside the center"
-                        % (kind, idx)
-                    )
-                row[k - cs] = d
         if not abelian.isdisjoint(row) and any(_ab_of_nf(pc, {cs + k: d for k, d in row.items()})):
             raise AssertionError("consistency relation with nonzero abelianization")
         rows.append(row)

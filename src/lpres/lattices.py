@@ -19,7 +19,12 @@ off, and the central quotient in covers.py reduces against it.  Storing a
 new pivot reduces its column in every row with a smaller pivot; fed
 right to left, a stored row finds few such rows, so the back-reduction
 that keeps the echelon canonical stays small.  The canonical HNF is
-unique, so the order changes no result.
+unique, so the order changes no result.  Most pivots of a cover's
+consistency rows are 1, and a canonical row is zero at every unit pivot
+column but its own, so subtracting a multiple of it from a row never
+creates an entry at a unit pivot column: a row is cleared at its unit
+pivot columns in one sweep, in any order, and only the few pivots
+d > 1, recorded as they are stored, are taken in column order.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -29,7 +34,7 @@ exactly when they produce identical HNF rows.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -93,33 +98,60 @@ def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int
 class _SparseEchelon:
     """Row echelon over Z on sparse rows {column: entry}, kept in canonical HNF.
 
-    `rows` maps each pivot column to its row.  After every insert the
-    rows form the canonical HNF of the lattice inserted so far: each
-    pivot is the leftmost column of its row and positive, and every
-    entry at another row's pivot column lies in [0, pivot), so a unit
-    pivot column is clear in every other row.  Keeping the entries
-    reduced also stops the coefficient growth of unreduced integer
-    elimination.  This is the one echelon behind hnf_sparse, hnf,
-    left_kernel, spin_closure, smith_invariants and subgroup_invariants,
-    and the one the central block of a cover is reduced against;
-    `echelon` builds it from rows, and spin_closure alone inserts into
-    it afterwards, one remainder at a time.
+    `rows` maps each pivot column to its row, and `nonunit` holds the
+    pivot columns whose pivot exceeds 1, updated as each pivot is
+    stored.  After every insert the rows form the canonical HNF of the
+    lattice inserted so far: each pivot is the leftmost column of its
+    row and positive, and every entry at another row's pivot column lies
+    in [0, pivot), so a unit pivot column is clear in every other row.
+    Keeping the entries reduced also stops the coefficient growth of
+    unreduced integer elimination.  This is the one echelon behind
+    hnf_sparse, hnf, left_kernel, spin_closure, smith_invariants and
+    subgroup_invariants, and the one the central block of a cover is
+    reduced against; `echelon` builds it from rows, and spin_closure
+    alone inserts into it afterwards, one remainder at a time.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
+        self.nonunit: set[int] = set()
 
     def _reduce(self, r: dict[int, int], cols: list[int]) -> None:
-        """Reduce r in place into [0, pivot) at pivot columns, in one pass.
+        """Reduce r in place into [0, pivot) at pivot columns.
 
-        `cols` is a heap of pivot columns that must hold every pivot
-        column past its least element where r is nonzero.  Columns are
-        taken in increasing order; reducing at column k changes r only
-        at columns >= k, and a pivot column it makes nonzero is pushed.
+        `cols` must hold every pivot column past its least element where
+        r is nonzero, and r must lie in [0, pivot) at the pivot columns
+        before it.  Every row is zero at each unit pivot column but its
+        own, so subtracting r[k] times the row of a unit pivot k clears r
+        at k and leaves it unchanged at every other unit pivot column:
+        the unit pivots of cols are swept once, in any order, and no step
+        ever creates an entry at a unit pivot column.  The non-unit
+        pivots go on a heap and are taken in increasing order; reducing
+        at column k changes r only at columns >= k, and a non-unit pivot
+        column it makes nonzero is pushed.
         """
-        rows = self.rows
-        while cols:
-            k = heappop(cols)
+        rows, nonunit = self.rows, self.nonunit
+        heap = []
+        for k in cols:
+            if k in nonunit:
+                heap.append(k)
+                continue
+            q = r[k]
+            for j, c in rows[k].items():
+                w = r.get(j)
+                if w is None:
+                    r[j] = -q * c
+                    if j in nonunit:
+                        heap.append(j)
+                else:
+                    w -= q * c
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
             v = r.get(k)
             if v is None:
                 continue
@@ -131,8 +163,8 @@ class _SparseEchelon:
                 w = r.get(j)
                 if w is None:
                     r[j] = -q * c
-                    if j in rows:
-                        heappush(cols, j)
+                    if j in nonunit:
+                        heappush(heap, j)
                 else:
                     w -= q * c
                     if w:
@@ -144,7 +176,8 @@ class _SparseEchelon:
         """The canonical remainder of row modulo the lattice: empty when
         the row lies in it."""
         r = {k: v for k, v in row.items() if v}
-        self._reduce(r, sorted(k for k in r if k in self.rows))
+        rows = self.rows
+        self._reduce(r, [k for k in r if k in rows])
         return r
 
     def _store(self, lead: int, r: dict[int, int]) -> None:
@@ -153,13 +186,17 @@ class _SparseEchelon:
         rows = self.rows
         rows[lead] = r
         d = r[lead]
+        if d == 1:
+            self.nonunit.discard(lead)
+        else:
+            self.nonunit.add(lead)
         for p, row in rows.items():
             if p < lead and not 0 <= row.get(lead, 0) < d:
-                self._reduce(row, sorted(k for k in row if k >= lead and k in rows))
+                self._reduce(row, [k for k in row if k >= lead and k in rows])
 
     def insert(self, row: dict[int, int]) -> None:
         """Add row to the lattice, keeping the rows in canonical HNF."""
-        rows = self.rows
+        rows, nonunit = self.rows, self.nonunit
         pending = [row]
         while pending:
             r = self.reduce(pending.pop())
@@ -169,8 +206,9 @@ class _SparseEchelon:
             cur = rows.get(lead)
             if cur is None:
                 if r[lead] < 0:
+                    # a remainder is zero at every unit pivot column
                     r = {k: -v for k, v in r.items()}
-                    self._reduce(r, sorted(k for k in r if k in rows))
+                    self._reduce(r, [k for k in r if k in nonunit])
                 self._store(lead, r)
                 continue
             # r[lead] lies in (0, pivot): replace the pivot by their gcd
@@ -179,7 +217,7 @@ class _SparseEchelon:
             new = _combine(cur, x, r, y)
             pending.append(_combine(cur, 1, new, -(d // g)))
             pending.append(_combine(r, 1, new, -(a // g)))
-            self._reduce(new, sorted(k for k in new if k > lead and k in rows))
+            self._reduce(new, [k for k in new if k > lead and k in nonunit])
             self._store(lead, new)
 
     def canonical(self, ncols: int) -> HNFBasis:

@@ -467,10 +467,13 @@ class PcPresentation:
         g_k, g_j, g_i.  The presentation is consistent when every pair
         agrees.  With prune set, only the restricted set of
         _overlap_triples is collected: no overweight or derived
-        conjugator overlaps (Vaughan-Lee 1984; Nickel 1996).  Each
-        product of two syllables is collected once per call: g_j*g_i is
-        b*c of the pow-conj overlap and of every comm triple over
-        (i, j), and a*b of the conj-pow overlap.  In a comm triple
+        conjugator overlaps (Vaughan-Lee 1984; Nickel 1996).  Every
+        product is collected straight from syllables by _collect, as mul
+        would after copying and sorting its factors: a syllable onto the
+        other, or the syllables of a normal form onto a copy of one.
+        Each product of two syllables is collected once per call and
+        kept: g_j*g_i is b*c of the pow-conj overlap and of every comm
+        triple over (i, j), and a*b of the conj-pow overlap.  In a comm triple
         c = g_i lies below b = g_j, so b*c is g_i times
         b^c = conj_gen_nf(i, 1, j), and a*(b*c) is collected as
         (a*c) * b^c: collecting a times b*c would pop g_i first and then
@@ -479,20 +482,22 @@ class PcPresentation:
         The pow-conj overlap keeps a*(b*c), as its a*c, g_j^(o_j-1)*g_i,
         would be a product of its own.
         """
-        mul = self.mul
+        collect = self._collect
         products: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, int]] = {}
 
         def product(x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
-            if (x, y) not in products:
-                products[(x, y)] = mul(dict([x]), dict([y]))
-            return products[(x, y)]
+            nf = products.get((x, y))
+            if nf is None:
+                nf = products[(x, y)] = collect(dict([x]), [y])
+            return nf
 
         for kind, idx, a, b, c in self._overlap_triples(prune):
             if kind == "comm":
-                rhs = mul(product(a, c), self.conj_gen_nf(c[0], 1, b[0]))
+                ac = dict(product(a, c))
+                rhs = collect(ac, sorted(self.conj_gen_nf(c[0], 1, b[0]).items(), reverse=True))
             else:
-                rhs = mul(dict([a]), product(b, c))
-            yield kind, idx, mul(product(a, b), dict([c])), rhs
+                rhs = collect(dict([a]), sorted(product(b, c).items(), reverse=True))
+            yield kind, idx, collect(dict(product(a, b)), [c]), rhs
 
     def _overlap_triples(
         self, prune: bool

@@ -4,11 +4,12 @@ import random
 
 import pytest
 from conftest import ACCEPTANCE_CLASSES
+from echelon_oracle import ReferenceEchelon
 from relator_oracle import spun_relators
 
 from lpres import covers
 from lpres.covers import build_cover, impose_relators, lift_through_definitions, trivial_system
-from lpres.lattices import AbelianInvariants, hnf_sparse, smith_invariants
+from lpres.lattices import AbelianInvariants, _SparseEchelon, echelon, hnf_sparse, smith_invariants
 from lpres.pcgroups import PcPresentation
 from lpres.presentations import load_catalog, parse_one
 from lpres.words import Word
@@ -253,6 +254,88 @@ def test_consistency_rows_must_vanish_in_the_abelianization():
     system.pc.abelian_image[2] = (1, 1)
     with pytest.raises(AssertionError, match="nonzero abelianization"):
         build_cover(system)
+
+
+@pytest.mark.parametrize("case", ["value-differs", "key-only-in-lhs", "key-only-in-rhs"])
+def test_overlap_sides_must_agree_outside_the_center(case, monkeypatch):
+    """build_cover reads a row off the central keys of lhs and rhs, and
+    every other key must carry the same exponent on both sides: a
+    differing value, or a key on one side only, is an inconsistent
+    cover, reported with the overlap's kind and indices."""
+    system = tower(load_catalog("basilica"), 2)
+    cs = system.pc.ngens  # the cover's first fresh central generator
+    lhs, rhs = {
+        "value-differs": ({0: 1, cs: 1}, {0: -1, cs: 1}),
+        "key-only-in-lhs": ({1: 1, cs: 2}, {cs: 1}),
+        "key-only-in-rhs": ({cs: 1}, {1: 1, cs: 1}),
+    }[case]
+    checks = PcPresentation.overlap_checks
+
+    def with_bad_overlap(pc, prune=True):
+        yield from checks(pc, prune)
+        yield "comm", (3, 2, 1), lhs, rhs
+
+    monkeypatch.setattr(PcPresentation, "overlap_checks", with_bad_overlap)
+    message = r"inconsistent cover: comm overlap \(3, 2, 1\) differs outside the center"
+    with pytest.raises(AssertionError, match=message):
+        build_cover(system)
+
+
+def _consistency_rows(monkeypatch, pres, c):
+    """For the covers of the tower of pres to class c: the overlaps each
+    checks, how many of them agree, and the rows and central rank its
+    build_cover hands to _apply_central_rows."""
+    checks = PcPresentation.overlap_checks
+    apply = covers._apply_central_rows
+    steps = []
+
+    def counted(pc, prune=True):
+        steps.append({"overlaps": 0, "agreeing": 0})
+        for kind, idx, lhs, rhs in checks(pc, prune):
+            steps[-1]["overlaps"] += 1
+            steps[-1]["agreeing"] += lhs == rhs
+            yield kind, idx, lhs, rhs
+
+    def record(pc, images, cs, rows):
+        rows = list(rows)
+        steps[-1].setdefault("rows", rows)
+        steps[-1].setdefault("ncols", pc.ngens - cs)
+        apply(pc, images, cs, rows)
+
+    monkeypatch.setattr(PcPresentation, "overlap_checks", counted)
+    monkeypatch.setattr(covers, "_apply_central_rows", record)
+    tower(pres, c)
+    return steps
+
+
+def test_consistency_step_counts_on_the_grigorchuk_tower(monkeypatch):
+    """Overlaps checked, and nonzero rows handed on, by each cover of
+    grigorchuk's tower to class 8, pinned from a reader that compared the
+    two sides as whole dicts: a row is dropped exactly when its overlap's
+    sides agree."""
+    steps = _consistency_rows(monkeypatch, load_catalog("grigorchuk"), 8)
+    assert [s["overlaps"] for s in steps] == [0, 9, 22, 43, 62, 94, 127, 166]
+    assert [len(s["rows"]) for s in steps] == [0, 6, 19, 37, 55, 83, 114, 150]
+    for s in steps:
+        assert all(s["rows"]) and len(s["rows"]) == s["overlaps"] - s["agreeing"]
+
+
+def test_consistency_echelon_matches_the_reference_on_a_grigorchuk_cover(monkeypatch):
+    """The consistency rows of grigorchuk's class-8 cover, long rows of
+    +-1 and +-2 entries, give the reference echelon's HNF inserted in
+    build_cover's order or by echelon, and the record of non-unit pivots
+    agrees with the rows after every insert."""
+    step = _consistency_rows(monkeypatch, load_catalog("grigorchuk"), 8)[-1]
+    rows, ncols = step["rows"], step["ncols"]
+    assert max(map(len, rows)) > 10
+    lattice, reference = _SparseEchelon(), ReferenceEchelon()
+    for row in rows:
+        lattice.insert(row)
+        reference.insert(row)
+        assert lattice.nonunit == {p for p, r in lattice.rows.items() if r[p] > 1}
+    expected = reference.canonical(ncols)
+    assert lattice.canonical(ncols).rows == expected
+    assert echelon(rows, ncols).canonical(ncols).rows == expected
 
 
 def test_central_quotient_depends_only_on_the_lattice_its_rows_span(monkeypatch):

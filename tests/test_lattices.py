@@ -163,13 +163,15 @@ def test_hnf_sparse_rejects_columns_outside_the_ambient_rank():
     assert hnf_sparse([{0: 2}, {5: 0}, {}], 3).rows == ((2, 0, 0),)
 
 
-def assert_canonical_echelon(rows):
+def assert_canonical_echelon(echelon):
+    rows = echelon.rows
     for p, row in rows.items():
         assert min(row) == p and row[p] > 0
         assert all(v for v in row.values())
         for p2, row2 in rows.items():
             if p2 != p:
                 assert 0 <= row2.get(p, 0) < row[p]
+    assert echelon.nonunit == {p for p, row in rows.items() if row[p] > 1}
 
 
 def test_echelon_is_canonical_after_every_insert():
@@ -183,8 +185,29 @@ def test_echelon_is_canonical_after_every_insert():
         echelon = _SparseEchelon()
         for row in rows:
             echelon.insert({k: v for k, v in enumerate(row) if v})
-            assert_canonical_echelon(echelon.rows)
+            assert_canonical_echelon(echelon)
         assert echelon.canonical(n).rows == reference_hnf(rows, n)
+
+
+def test_echelon_records_its_non_unit_pivots_through_gcd_steps():
+    """`nonunit` agrees with the rows after every insert, also when a gcd
+    step turns a pivot d > 1 into 1 or into another d > 1."""
+    steps = [
+        ({0: 2}, {0: 2}),
+        ({0: 3}, {0: 1}),  # gcd(2, 3): the non-unit pivot becomes a unit
+        ({1: 4, 2: 1}, {0: 1, 1: 4}),
+        ({1: 6}, {0: 1, 1: 2, 2: 3}),  # gcd(4, 6): 4 is replaced by 2
+        ({2: 1}, {0: 1, 1: 2, 2: 1}),  # the unit at 2 clears column 2 above it
+        ({1: 3, 3: -5}, {0: 1, 1: 1, 2: 1, 3: 10}),
+    ]
+    echelon = _SparseEchelon()
+    inserted = []
+    for row, pivots in steps:
+        echelon.insert(row)
+        inserted.append([row.get(j, 0) for j in range(4)])
+        assert {p: r[p] for p, r in echelon.rows.items()} == pivots
+        assert_canonical_echelon(echelon)
+        assert echelon.canonical(4).rows == reference_hnf(inserted, 4)
 
 
 def test_hnf_empty_and_zero():
