@@ -6,7 +6,6 @@ from .lattices import (
     AbelianInvariants,
     HNFBasis,
     hnf,
-    hnf_sparse,
     left_kernel,
     membership,
     smith_invariants,
@@ -54,7 +53,6 @@ __all__ = [
     "commutator",
     "dwyer_range",
     "hnf",
-    "hnf_sparse",
     "impose_relators",
     "induce_endomorphism",
     "left_kernel",

@@ -131,6 +131,5 @@ def predicted_dwyer(name: str, nclass: int) -> AbelianInvariants:
         return AbelianInvariants(0, (2,) * _supergroup_rank(nclass))
     if name == "basilica":
         return AbelianInvariants(2, tuple(sorted(_basilica_torsion(nclass))))
-    if name == "bsv":
-        return AbelianInvariants(2, tuple(sorted(_bsv_torsion(nclass))))
-    raise ValueError("no conjectured formula for %r" % name)
+    # bsv: minimum_class has rejected every other name
+    return AbelianInvariants(2, tuple(sorted(_bsv_torsion(nclass))))

@@ -1,30 +1,31 @@
 """Exact integer lattice arithmetic.
 
 Everything here takes integer row vectors with arbitrary-precision
-arithmetic: dense lists of ints, or sparse dicts {column: entry} through
-`hnf_sparse`.  The one echelon behind them works on sparse rows and
-keeps them in canonical HNF after every insert, so reading its result
-off only makes the rows dense, and reducing a vector against it gives
-the vector's canonical remainder modulo the lattice, which is zero
-exactly for members.  The central objects are row-style Hermite normal
-forms, used as canonical bases of subgroups of Z^n, and Smith
-invariants, used to name finitely generated abelian groups.  Both come
-from the echelon: Smith invariants alternate row and column HNF until
-the matrix is diagonal, and the invariants of a subgroup of a quotient
-of Z^n are read off a left kernel.
+arithmetic: dense lists of ints, or sparse dicts {column: entry}.  The
+one echelon behind them works on sparse rows and keeps them in canonical
+HNF after every insert, so reading its result off only makes the rows
+dense, and reducing a vector against it gives the vector's canonical
+remainder modulo the lattice, which is zero exactly for members.  The
+central objects are row-style Hermite normal forms, used as canonical
+bases of subgroups of Z^n, and Smith invariants, used to name finitely
+generated abelian groups.  Both come from the echelon: Smith invariants
+alternate row and column HNF until the matrix is diagonal, and the
+invariants of a subgroup of a quotient of Z^n are read off a left
+kernel.
 
-Every echelon is built from its rows in one place, `echelon`, which
-inserts them by decreasing leading column; `hnf_sparse` reads its rows
-off, and the central quotient in covers.py reduces against it.  Storing a
-new pivot reduces its column in every row with a smaller pivot; fed
-right to left, a stored row finds few such rows, so the back-reduction
-that keeps the echelon canonical stays small.  The canonical HNF is
-unique, so the order changes no result.  Most pivots of a cover's
-consistency rows are 1, and a canonical row is zero at every unit pivot
-column but its own, so subtracting a multiple of it from a row never
-creates an entry at a unit pivot column: a row is cleared at its unit
-pivot columns in one sweep, in any order, and only the few pivots
-d > 1, recorded as they are stored, are taken in column order.
+Sparse rows enter an echelon in one place, `echelon`, which inserts them
+by decreasing leading column; `echelon(rows, ncols).canonical(ncols)` is
+their HNF.  An insert copies its row once, reduces it once, and tells
+whether the lattice grew, so spin_closure spins exactly the images that
+enlarge it.  Storing a new pivot reduces its column in every row with a
+smaller pivot; fed right to left, a stored row finds few such rows, so
+the back-reduction that keeps the echelon canonical stays small.  The
+canonical HNF is unique, so the order changes no result.  Most pivots of
+a cover's consistency rows are 1, and a canonical row is zero at every
+unit pivot column but its own, so subtracting a multiple of it from a
+row never creates an entry at a unit pivot column: a row is cleared at
+its unit pivot columns in one sweep, in any order, and only the few
+pivots d > 1, recorded as they are stored, are taken in column order.
 
 Conventions for the Hermite normal form: rows are ordered by strictly
 increasing pivot column, pivots are positive, and every entry above a
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -105,34 +107,34 @@ class _SparseEchelon:
     row and positive, and every entry at another row's pivot column lies
     in [0, pivot), so a unit pivot column is clear in every other row.
     Keeping the entries reduced also stops the coefficient growth of
-    unreduced integer elimination.  This is the one echelon behind
-    hnf_sparse, hnf, left_kernel, spin_closure, smith_invariants and
-    subgroup_invariants, and the one the central block of a cover is
-    reduced against; `echelon` builds it from rows, and spin_closure
-    alone inserts into it afterwards, one remainder at a time.
+    unreduced integer elimination.  This is the one echelon behind hnf,
+    left_kernel, spin_closure, smith_invariants and subgroup_invariants,
+    and the one the central block of a cover is reduced against;
+    `echelon` builds it from rows, and spin_closure alone inserts into
+    it afterwards, one image at a time.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
         self.nonunit: set[int] = set()
 
-    def _reduce(self, r: dict[int, int], cols: list[int]) -> None:
-        """Reduce r in place into [0, pivot) at pivot columns.
+    def _reduce(self, r: dict[int, int], lo: int) -> None:
+        """Reduce r in place into [0, pivot) at every pivot column >= lo
+        where it is nonzero; r must already lie in [0, pivot) at the pivot
+        columns before lo.
 
-        `cols` must hold every pivot column past its least element where
-        r is nonzero, and r must lie in [0, pivot) at the pivot columns
-        before it.  Every row is zero at each unit pivot column but its
-        own, so subtracting r[k] times the row of a unit pivot k clears r
-        at k and leaves it unchanged at every other unit pivot column:
-        the unit pivots of cols are swept once, in any order, and no step
-        ever creates an entry at a unit pivot column.  The non-unit
-        pivots go on a heap and are taken in increasing order; reducing
-        at column k changes r only at columns >= k, and a non-unit pivot
-        column it makes nonzero is pushed.
+        Every row is zero at each unit pivot column but its own, so
+        subtracting r[k] times the row of a unit pivot k clears r at k and
+        leaves it unchanged at every other unit pivot column: the unit
+        pivots are swept once, in any order, and no step ever creates an
+        entry at a unit pivot column.  The non-unit pivots go on a heap
+        and are taken in increasing order; reducing at column k changes r
+        only at columns >= k, and a non-unit pivot column it makes
+        nonzero is pushed.
         """
         rows, nonunit = self.rows, self.nonunit
         heap = []
-        for k in cols:
+        for k in [k for k in r if k >= lo and k in rows]:
             if k in nonunit:
                 heap.append(k)
                 continue
@@ -176,8 +178,7 @@ class _SparseEchelon:
         """The canonical remainder of row modulo the lattice: empty when
         the row lies in it."""
         r = {k: v for k, v in row.items() if v}
-        rows = self.rows
-        self._reduce(r, [k for k in r if k in rows])
+        self._reduce(r, 0)
         return r
 
     def _store(self, lead: int, r: dict[int, int]) -> None:
@@ -192,23 +193,27 @@ class _SparseEchelon:
             self.nonunit.add(lead)
         for p, row in rows.items():
             if p < lead and not 0 <= row.get(lead, 0) < d:
-                self._reduce(row, [k for k in row if k >= lead and k in rows])
+                self._reduce(row, lead)
 
-    def insert(self, row: dict[int, int]) -> None:
-        """Add row to the lattice, keeping the rows in canonical HNF."""
-        rows, nonunit = self.rows, self.nonunit
-        pending = [row]
+    def insert(self, row: dict[int, int]) -> bool:
+        """Add row to the lattice, keeping the rows in canonical HNF, and
+        return whether the lattice grew: whether row was not a member."""
+        rows = self.rows
+        pending = [{k: v for k, v in row.items() if v}]
+        grew = False
         while pending:
-            r = self.reduce(pending.pop())
+            r = pending.pop()
+            self._reduce(r, 0)
             if not r:
                 continue
+            grew = True
             lead = min(r)
             cur = rows.get(lead)
             if cur is None:
                 if r[lead] < 0:
                     # a remainder is zero at every unit pivot column
                     r = {k: -v for k, v in r.items()}
-                    self._reduce(r, [k for k in r if k in nonunit])
+                    self._reduce(r, 0)
                 self._store(lead, r)
                 continue
             # r[lead] lies in (0, pivot): replace the pivot by their gcd
@@ -217,8 +222,9 @@ class _SparseEchelon:
             new = _combine(cur, x, r, y)
             pending.append(_combine(cur, 1, new, -(d // g)))
             pending.append(_combine(r, 1, new, -(a // g)))
-            self._reduce(new, [k for k in new if k > lead and k in nonunit])
+            self._reduce(new, lead + 1)
             self._store(lead, new)
+        return grew
 
     def canonical(self, ncols: int) -> HNFBasis:
         """The rows, already canonical, as a dense HNFBasis."""
@@ -232,29 +238,22 @@ class _SparseEchelon:
         return HNFBasis(tuple(dense), tuple(pivots), ncols)
 
 
-def hnf_sparse(rows: Iterable[dict[int, int]], ncols: int) -> HNFBasis:
-    """Canonical Hermite normal form of the lattice spanned by sparse rows.
-
-    Each row maps columns in [0, ncols) to entries; empty rows span
-    nothing and are dropped.
-    """
-    return echelon(rows, ncols).canonical(ncols)
-
-
 def echelon(rows: Iterable[dict[int, int]], ncols: int) -> _SparseEchelon:
     """An echelon holding the lattice spanned by sparse rows in Z^ncols,
-    inserted by decreasing leading column."""
-    nonzero = []
+    inserted by decreasing leading column.  Zero entries and empty rows
+    span nothing and are dropped."""
+    keyed = []
     for row in rows:
-        r = {k: v for k, v in row.items() if v}
-        if r:
-            if min(r) < 0 or max(r) >= ncols:
+        cols = [k for k, v in row.items() if v]
+        if cols:
+            lead = min(cols)
+            if lead < 0 or max(cols) >= ncols:
                 raise ValueError("row column outside [0, %d)" % ncols)
-            nonzero.append(r)
-    nonzero.sort(key=min, reverse=True)
+            keyed.append((lead, row))
+    keyed.sort(key=itemgetter(0), reverse=True)
     lattice = _SparseEchelon()
-    for r in nonzero:
-        lattice.insert(r)
+    for _, row in keyed:
+        lattice.insert(row)
     return lattice
 
 
@@ -275,7 +274,7 @@ def hnf(rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> HNFBasis:
         if not rows:
             raise ValueError("ncols is required for an empty generating set")
         ncols = len(rows[0])
-    return hnf_sparse(_sparse(rows, ncols), ncols)
+    return echelon(_sparse(rows, ncols), ncols).canonical(ncols)
 
 
 def membership(basis: HNFBasis, vector: Sequence[int]) -> Optional[list[int]]:
@@ -312,7 +311,8 @@ def left_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     sparse = _sparse(rows, ncols)
     for i, row in enumerate(sparse):
         row[ncols + i] = 1
-    basis = hnf_sparse(sparse, ncols + len(rows))
+    width = ncols + len(rows)
+    basis = echelon(sparse, width).canonical(width)
     return [list(r[ncols:]) for r, p in zip(basis.rows, basis.pivots) if p >= ncols]
 
 
@@ -455,14 +455,9 @@ def spin_closure(
         raise ValueError("every matrix must be ncols x ncols")
     lattice = echelon(_sparse(seeds, ncols), ncols)
     queue = seeds
-    head = 0
-    while head < len(queue):
-        vec = queue[head]
-        head += 1
+    for vec in queue:
         for mat in matrices:
             img = row_times_matrix(vec, mat)
-            remainder = lattice.reduce(dict(enumerate(img)))
-            if remainder:
-                lattice.insert(remainder)
+            if lattice.insert(dict(enumerate(img))):
                 queue.append(img)
     return lattice.canonical(ncols)

@@ -53,11 +53,9 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
     levels = tower(pres)
 
     steps: list[DwyerStep] = []
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     next(levels)
-    carried = time.perf_counter() - t0
     for c in range(1, max_class + 1):
-        t1 = time.perf_counter()
         cover, system = next(levels)
         t2 = time.perf_counter()
         image = subgroup_invariants(cover.image_rows(), cover.torsion_rows(), cover.central_dim)
@@ -70,10 +68,10 @@ def dwyer_range(pres: LPresentation, max_class: int) -> list[DwyerStep]:
                 invariants=image,
                 multiplier=section,
                 next_layer=layer,
-                quotient_seconds=carried + (t2 - t1),
+                quotient_seconds=t2 - t1,
                 dwyer_seconds=t3 - t2,
             )
         )
-        carried = 0.0
+        t1 = time.perf_counter()
     return steps
 

@@ -423,17 +423,14 @@ class PcPresentation:
         the sorted items of a normal form to map it by g -> images[g].
 
         Each factor is collected onto one running normal form: the image
-        itself for e = 1, its inverse word for e = -1, its power otherwise.
+        itself for e = 1, its power otherwise.
         """
         out: dict[int, int] = {}
         for g, e in syllables:
             image = images[g]
-            if e == 1:
-                stack = sorted(image.items(), reverse=True)
-            elif e == -1:
-                stack = [(h, -f) for h, f in sorted(image.items())]
-            else:
-                stack = sorted(self.pow_nf(image, e).items(), reverse=True)
+            if e != 1:
+                image = self.pow_nf(image, e)
+            stack = sorted(image.items(), reverse=True)
             self._collect(out, stack)
         return out
 

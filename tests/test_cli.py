@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lpres.cli import main
+from lpres.lattices import AbelianInvariants
 from lpres.presentations import MAX_NESTING, catalog_names, parse_one
 from lpres.quotients import abelian_quotient
 
@@ -16,6 +18,14 @@ KLEIN = """
 group klein {
   generators: x, y;
   fixed: x^2, y^2, x^-1*y^-1*x*y;
+}
+"""
+
+# the dihedral group of order 8: nilpotent of class 2
+DIHEDRAL_8 = """
+group d8 {
+  generators: a, b;
+  fixed: a^2, b^2, (a*b)^4;
 }
 """
 
@@ -130,6 +140,26 @@ def test_nq_reports_stabilization(tmp_path, capsys):
     assert "order 4" in out
 
 
+def test_nq_json_reports_stabilization(tmp_path, capsys):
+    path = tmp_path / "d8.lp"
+    path.write_text(DIHEDRAL_8)
+    code, out, _ = run(capsys, "nq", "--file", str(path), "--max-class", "5", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stabilized_at"] == 2
+    assert [r["order"] for r in payload["results"]] == ["4", "8"]
+
+
+def test_nq_timing_appends_milliseconds(capsys):
+    code, plain, _ = run(capsys, "nq", "--group", "basilica", "--max-class", "3")
+    assert code == 0
+    code, timed, _ = run(capsys, "nq", "--group", "basilica", "--max-class", "3", "--timing")
+    assert code == 0
+    lines = timed.splitlines()
+    assert [line.split("  [")[0] for line in lines] == plain.splitlines()
+    assert all(re.fullmatch(r".*  \[\d+\.\d ms\]", line) for line in lines)
+
+
 @pytest.mark.parametrize(
     "fixed, layer",
     [
@@ -212,8 +242,6 @@ def test_json_and_text_encode_same_data(capsys):
     assert code == 0
     code, blob, _ = run(capsys, "dwyer", "--group", "bsv", "--max-class", "4", "--json")
     assert code == 0
-    from lpres.lattices import AbelianInvariants
-
     rows = json.loads(blob)["results"]
     rebuilt = [
         "c=%d: %s" % (r["c"], AbelianInvariants(r["free_rank"], tuple(r["torsion"])).render())
@@ -245,6 +273,12 @@ def test_nonpositive_class_is_usage_error(capsys):
     code, _, err = run(capsys, "dwyer", "--group", "basilica", "--max-class", "3", "--jobs", "2")
     assert code == 1
     assert "--jobs" in err
+
+
+def test_non_integer_class_is_usage_error(capsys):
+    code, out, err = run(capsys, "nq", "--group", "grigorchuk", "--max-class", "x")
+    assert (code, out) == (1, "")
+    assert "not an integer: 'x'" in err
 
 
 def test_parse_error_exit(tmp_path, capsys):
@@ -423,6 +457,20 @@ def test_check_conjecture_below_the_closed_form_is_an_input_error(capsys, monkey
             assert code == 1, (name, extra)
             assert out == ""
             assert "starts at class 2" in err
+
+
+def test_check_conjecture_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr("lpres.cli.predicted_dwyer", lambda name, c: AbelianInvariants(0, (3,)))
+    code, out, _ = run(capsys, "check-conjecture", "--group", "bsv", "--max-class", "4")
+    assert code == 2
+    lines = out.splitlines()
+    assert all(line.endswith("FAIL") for line in lines[:-1])
+    assert lines[-1] == "FAIL: 3 of 3 classes mismatch"
+    code, out, _ = run(capsys, "check-conjecture", "--group", "bsv", "--max-class", "4", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["all_match"] is False
+    assert not any(r["match"] for r in payload["results"])
 
 
 def test_check_conjecture_rejects_file_source(capsys):

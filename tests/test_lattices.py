@@ -15,8 +15,8 @@ from echelon_oracle import (
 from lpres.lattices import (
     AbelianInvariants,
     _SparseEchelon,
+    echelon,
     hnf,
-    hnf_sparse,
     left_kernel,
     matrix_product,
     membership,
@@ -142,7 +142,7 @@ def test_lattice_functions_match_the_reference_echelon():
             assert got == reference_spin_closure(seeds + base, mats, [], n)
 
 
-def test_hnf_sparse_matches_the_reference_in_every_order():
+def test_echelon_matches_the_reference_in_every_order():
     rng = random.Random(2014)
     for _ in range(600):
         rows, n = oracle_input(rng)
@@ -153,25 +153,25 @@ def test_hnf_sparse_matches_the_reference_in_every_order():
         shuffled = list(sparse)
         rng.shuffle(shuffled)
         for order in (sparse, sparse[::-1], shuffled):
-            assert hnf_sparse(order, n).rows == expected
+            assert echelon(order, n).canonical(n).rows == expected
 
 
-def test_hnf_sparse_rejects_columns_outside_the_ambient_rank():
+def test_echelon_rejects_columns_outside_the_ambient_rank():
     for row in ({3: 1}, {0: 1, 7: -2}, {-1: 4}):
         with pytest.raises(ValueError):
-            hnf_sparse([{0: 2}, row], 3)
-    assert hnf_sparse([{0: 2}, {5: 0}, {}], 3).rows == ((2, 0, 0),)
+            echelon([{0: 2}, row], 3)
+    assert echelon([{0: 2}, {5: 0}, {}], 3).canonical(3).rows == ((2, 0, 0),)
 
 
-def assert_canonical_echelon(echelon):
-    rows = echelon.rows
+def assert_canonical_echelon(lattice):
+    rows = lattice.rows
     for p, row in rows.items():
         assert min(row) == p and row[p] > 0
         assert all(v for v in row.values())
         for p2, row2 in rows.items():
             if p2 != p:
                 assert 0 <= row2.get(p, 0) < row[p]
-    assert echelon.nonunit == {p for p, row in rows.items() if row[p] > 1}
+    assert lattice.nonunit == {p for p, row in rows.items() if row[p] > 1}
 
 
 def test_echelon_is_canonical_after_every_insert():
@@ -182,11 +182,13 @@ def test_echelon_is_canonical_after_every_insert():
         bound = rng.choice([1, 2, 6, 10**9])
         density = rng.choice([1.0, 0.4, 0.15])
         rows = random_rows(rng, rng.randint(1, 14), n, bound, density)
-        echelon = _SparseEchelon()
+        lattice = _SparseEchelon()
         for row in rows:
-            echelon.insert({k: v for k, v in enumerate(row) if v})
-            assert_canonical_echelon(echelon)
-        assert echelon.canonical(n).rows == reference_hnf(rows, n)
+            before = lattice.canonical(n).rows
+            grew = lattice.insert({k: v for k, v in enumerate(row) if v})
+            assert_canonical_echelon(lattice)
+            assert grew == (lattice.canonical(n).rows != before)
+        assert lattice.canonical(n).rows == reference_hnf(rows, n)
 
 
 def test_echelon_records_its_non_unit_pivots_through_gcd_steps():
@@ -200,14 +202,15 @@ def test_echelon_records_its_non_unit_pivots_through_gcd_steps():
         ({2: 1}, {0: 1, 1: 2, 2: 1}),  # the unit at 2 clears column 2 above it
         ({1: 3, 3: -5}, {0: 1, 1: 1, 2: 1, 3: 10}),
     ]
-    echelon = _SparseEchelon()
+    lattice = _SparseEchelon()
     inserted = []
     for row, pivots in steps:
-        echelon.insert(row)
+        assert lattice.insert(row)
         inserted.append([row.get(j, 0) for j in range(4)])
-        assert {p: r[p] for p, r in echelon.rows.items()} == pivots
-        assert_canonical_echelon(echelon)
-        assert echelon.canonical(4).rows == reference_hnf(inserted, 4)
+        assert {p: r[p] for p, r in lattice.rows.items()} == pivots
+        assert_canonical_echelon(lattice)
+        assert lattice.canonical(4).rows == reference_hnf(inserted, 4)
+    assert not lattice.insert({1: 6, 3: 0})
 
 
 def test_hnf_empty_and_zero():
@@ -408,9 +411,9 @@ def test_records_are_immutable_and_compare_by_value():
     with pytest.raises(AttributeError):
         inv.free_rank = 0
     assert hash(inv) == hash(AbelianInvariants(1, tuple([2, 4])))
-    basis = hnf_sparse([{0: 2, 1: 1}], 2)
+    basis = hnf([[2, 1]])
     with pytest.raises(AttributeError):
         basis.rows = ()
-    assert basis != hnf_sparse([{0: 2}], 2)
-    assert basis != hnf_sparse([{0: 2, 1: 1}], 3)
-    assert hash(basis) == hash(hnf_sparse([{0: 2, 1: 1}, {0: 4, 1: 2}], 2))
+    assert basis != hnf([[2, 0]])
+    assert basis != hnf([[2, 1, 0]])
+    assert hash(basis) == hash(hnf([[2, 1], [4, 2]]))

@@ -123,6 +123,31 @@ def test_parse_error_positions():
         parse_one("group demo {\n  generators: x;\n  endomorphism s: x y;\n}")
 
 
+@pytest.mark.parametrize(
+    "sections, message, line, col",
+    [
+        ("generators: a, b;\n  fixed: a^-b;", "expected an integer", 3, 13),
+        ("generators: a, b;\n  fixed: 2;", "only 1 may appear as a bare word", 3, 10),
+        ("generators: a, b;\n  fixed: a*;", "expected a generator, '(', '[' or 1", 3, 12),
+        ("generators: a, a;", "generator names must be distinct", 2, 3),
+        ("generators: a, b;\n  invariant: yes;", "expected 'true' or 'false'", 3, 14),
+        (
+            "generators: a, b;\n  endomorphism s: a -> b, b -> a;\n  endomorphism s: a -> a, b -> b;",
+            "duplicate endomorphism 's'",
+            4,
+            3,
+        ),
+        ("generators: a, b;\n  endomorphism s: a -> b, a -> a;", "duplicate image for 'a'", 3, 27),
+        ("generators: a, b;\n  relators: a;", "unknown section 'relators'", 3, 3),
+    ],
+)
+def test_parse_error_names_its_line_and_column(sections, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_one("group g {\n  %s\n}" % sections)
+    assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_parse_one_rejects_many():
     text = "group a { generators: x; }\ngroup b { generators: y; }"
     assert len(parse(text)) == 2
