@@ -8,27 +8,22 @@ Subcommands:
   catalog           list the built-in groups
   check-conjecture  compare computed multiplier images with closed forms
 
-Exit status: 0 on success, 1 for usage or input errors, 2 when a
-computation fails (or, for check-conjecture, when computation and
-formula disagree).
+Exit status: 0 on success, 1 for usage or input errors, or when the
+output cannot be written, 2 when a computation fails (or, for
+check-conjecture, when computation and formula disagree).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .conjectures import minimum_class, predicted_dwyer
-from .multiplier import DwyerStep, dwyer_range
-from .presentations import (
-    adjust,
-    catalog_names,
-    load_catalog,
-    parse_one,
-    serialize,
-)
+from .multiplier import dwyer_range
+from .presentations import adjust, catalog_names, load_catalog, parse_one, serialize
 from .quotients import quotient_tower
 
 
@@ -50,13 +45,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
-
-
-def _add_source(sub, file_ok: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--group", metavar="NAME", help="built-in group (see 'lpres catalog')")
-    if file_ok:
-        group.add_argument("--file", metavar="PATH", help="file with one group block")
 
 
 def _load(args) -> tuple[str, object]:
@@ -88,141 +76,102 @@ def _rank_if_elementary(invariants) -> int | None:
     return None
 
 
-# ------------------------------------------------------------------ nq
+# ------------------------------------------------------------------ commands
+# Each returns (exit code, --json payload, text lines).
 
 
-def _cmd_nq(args) -> int:
+def _cmd_nq(args):
     name, pres = _load(args)
-    results = []
-    layers = []
-    last = 0
+    results, lines = [], []
     t_prev = time.perf_counter()
     for c, system in quotient_tower(pres, args.max_class):
         t_now = time.perf_counter()
         layer = system.pc.lcs_factor(c)
-        layers.append(layer)
         order = system.order()
-        results.append(
-            {
-                "c": c,
-                "free_rank": layer.free_rank,
-                "torsion": list(layer.torsion),
-                "ranks_if_elementary": _rank_if_elementary(layer),
-                "order": None if order is None else str(order),
-                "t_ms": _ms(t_now - t_prev),
-            }
-        )
-        last = c
-        t_prev = t_now
-    stabilized = last < args.max_class
-    if args.json:
-        payload = {"group": name, "results": results}
-        if stabilized:
-            payload["stabilized_at"] = last
-        print(json.dumps(payload, indent=2))
-        return 0
-    for layer, row in zip(layers, results):
-        order = "infinite" if row["order"] is None else row["order"]
-        line = "c=%d: layer %s, order %s" % (row["c"], layer.render(), order)
+        row = {
+            "c": c,
+            "free_rank": layer.free_rank,
+            "torsion": list(layer.torsion),
+            "ranks_if_elementary": _rank_if_elementary(layer),
+            "order": None if order is None else str(order),
+            "t_ms": _ms(t_now - t_prev),
+        }
+        results.append(row)
+        line = "c=%d: layer %s, order %s" % (c, layer.render(), row["order"] or "infinite")
         if args.timing:
             line += "  [%.1f ms]" % row["t_ms"]
-        print(line)
-    if stabilized:
-        print("series stabilizes at class %d" % last)
-    return 0
+        lines.append(line)
+        t_prev = t_now
+    payload = {"group": name, "results": results}
+    # the tower yields classes 1, 2, ... until the series stabilizes
+    if len(results) < args.max_class:
+        payload["stabilized_at"] = len(results)
+        lines.append("series stabilizes at class %d" % len(results))
+    return 0, payload, lines
 
 
-# ------------------------------------------------------------------ dwyer
-
-
-def _step_record(step: DwyerStep) -> dict:
-    return {
-        "c": step.nclass,
-        "free_rank": step.invariants.free_rank,
-        "torsion": list(step.invariants.torsion),
-        "ranks_if_elementary": _rank_if_elementary(step.invariants),
-        "t_quotient_ms": _ms(step.quotient_seconds),
-        "t_dwyer_ms": _ms(step.dwyer_seconds),
-    }
-
-
-def _cmd_dwyer(args) -> int:
+def _cmd_dwyer(args):
     name, pres = _load(args)
-    steps = dwyer_range(pres, args.max_class)
-    results = [_step_record(s) for s in steps]
-    if args.json:
-        print(json.dumps({"group": name, "results": results}, indent=2))
-        return 0
-    for step, row in zip(steps, results):
-        line = "c=%d: %s" % (row["c"], step.invariants.render())
+    results, lines = [], []
+    for step in dwyer_range(pres, args.max_class):
+        image = step.invariants
+        row = {
+            "c": step.nclass,
+            "free_rank": image.free_rank,
+            "torsion": list(image.torsion),
+            "ranks_if_elementary": _rank_if_elementary(image),
+            "t_quotient_ms": _ms(step.quotient_seconds),
+            "t_dwyer_ms": _ms(step.dwyer_seconds),
+        }
+        results.append(row)
+        line = "c=%d: %s" % (step.nclass, image.render())
         if args.timing:
             line += "  [quotient %.1f ms, dwyer %.1f ms]" % (
                 row["t_quotient_ms"],
                 row["t_dwyer_ms"],
             )
-        print(line)
-    return 0
+        lines.append(line)
+    return 0, {"group": name, "results": results}, lines
 
 
-# ------------------------------------------------------------------ adjust
-
-
-def _cmd_adjust(args) -> int:
+def _cmd_adjust(args):
     name, pres = _load(args)
     adjusted = adjust(pres)
-    if args.json:
-        payload = {
-            "group": name,
-            "basis": [str(w) for w in adjusted.basis_words],
-            "basis_vectors": [list(v) for v in adjusted.basis_vectors],
-            "fixed_consequences": [str(w) for w in adjusted.fixed_consequences],
-            "iterated_consequences": [str(w) for w in adjusted.iterated_consequences],
-            "abelianization": adjusted.abelianization().render(),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    sys.stdout.write(serialize(adjusted.presentation))
-    return 0
+    payload = {
+        "group": name,
+        "basis": [str(w) for w in adjusted.basis_words],
+        "basis_vectors": [list(v) for v in adjusted.basis_vectors],
+        "fixed_consequences": [str(w) for w in adjusted.fixed_consequences],
+        "iterated_consequences": [str(w) for w in adjusted.iterated_consequences],
+        "abelianization": adjusted.abelianization().render(),
+    }
+    return 0, payload, serialize(adjusted.presentation).splitlines()
 
 
-# ------------------------------------------------------------------ catalog
-
-
-def _cmd_catalog(args) -> int:
-    rows = []
+def _cmd_catalog(args):
+    rows, lines = [], []
     for nm in catalog_names():
         pres = load_catalog(nm)
+        gens, maps = list(pres.alphabet.names), [n for n, _ in pres.endomorphisms]
+        nfixed, niterated = len(pres.fixed), len(pres.iterated)
         rows.append(
             {
                 "name": nm,
-                "generators": list(pres.alphabet.names),
-                "fixed": len(pres.fixed),
-                "iterated": len(pres.iterated),
-                "endomorphisms": [n for n, _ in pres.endomorphisms],
+                "generators": gens,
+                "fixed": nfixed,
+                "iterated": niterated,
+                "endomorphisms": maps,
                 "invariant": pres.invariant,
             }
         )
-    if args.json:
-        print(json.dumps({"groups": rows}, indent=2))
-        return 0
-    for row in rows:
-        print(
+        lines.append(
             "%-22s gens=%s  fixed=%d  iterated=%d  maps=%s"
-            % (
-                row["name"],
-                ",".join(row["generators"]),
-                row["fixed"],
-                row["iterated"],
-                ",".join(row["endomorphisms"]) or "-",
-            )
+            % (nm, ",".join(gens), nfixed, niterated, ",".join(maps) or "-")
         )
-    return 0
+    return 0, {"groups": rows}, lines
 
 
-# ------------------------------------------------------------------ check-conjecture
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     name, pres = _load(args)
     try:
         start = minimum_class(name)
@@ -233,95 +182,99 @@ def _cmd_check(args) -> int:
             "the closed form for %s starts at class %d; --max-class %d compares nothing"
             % (name, start, args.max_class)
         )
-    steps = dwyer_range(pres, args.max_class)
-    results = []
-    all_match = True
-    for step in steps:
-        if step.nclass < start:
-            continue
+    results, lines = [], []
+    # dwyer_range returns classes 1 .. max_class in order
+    for step in dwyer_range(pres, args.max_class)[start - 1 :]:
         predicted = predicted_dwyer(name, step.nclass)
-        match = predicted == step.invariants
-        all_match = all_match and match
-        results.append(
-            {
-                "c": step.nclass,
-                "computed": step.invariants.render(),
-                "predicted": predicted.render(),
-                "match": match,
-            }
+        row = {
+            "c": step.nclass,
+            "computed": step.invariants.render(),
+            "predicted": predicted.render(),
+            "match": predicted == step.invariants,
+        }
+        results.append(row)
+        lines.append(
+            "c=%d: computed %s, predicted %s  %s"
+            % (step.nclass, row["computed"], row["predicted"], "PASS" if row["match"] else "FAIL")
         )
-    if args.json:
-        print(json.dumps({"group": name, "results": results, "all_match": all_match}, indent=2))
+    bad = sum(1 for row in results if not row["match"])
+    if bad:
+        lines.append("FAIL: %d of %d classes mismatch" % (bad, len(results)))
     else:
-        for row in results:
-            verdict = "PASS" if row["match"] else "FAIL"
-            print(
-                "c=%d: computed %s, predicted %s  %s"
-                % (row["c"], row["computed"], row["predicted"], verdict)
-            )
-        if all_match:
-            print("PASS: all %d classes match the closed form" % len(results))
-        else:
-            bad = sum(1 for row in results if not row["match"])
-            print("FAIL: %d of %d classes mismatch" % (bad, len(results)))
-    return 0 if all_match else 2
+        lines.append("PASS: all %d classes match the closed form" % len(results))
+    payload = {"group": name, "results": results, "all_match": not bad}
+    return (2 if bad else 0), payload, lines
 
 
 # ------------------------------------------------------------------ wiring
+
+_OPTIONS = {
+    "group": dict(metavar="NAME", help="built-in group (see 'lpres catalog')"),
+    "file": dict(metavar="PATH", help="file with one group block"),
+    "max-class": dict(type=_positive_int, required=True, metavar="C"),
+    "json": dict(action="store_true", help="machine-readable output"),
+    "timing": dict(action="store_true", help="append per-class timings"),
+}
+
+# (name, help, command, options in the order they are declared); --group
+# and --file exclude each other, and one of the two is required
+_COMMANDS = [
+    ("nq", "nilpotent quotients class by class", _cmd_nq, "group file max-class json timing"),
+    ("dwyer", "multiplier images along the tower", _cmd_dwyer, "group file max-class json timing"),
+    ("adjust", "rewrite over a relator-lattice basis", _cmd_adjust, "group file json"),
+    ("catalog", "list the built-in groups", _cmd_catalog, "json"),
+    (
+        "check-conjecture",
+        "computed multiplier images versus closed forms",
+        _cmd_check,
+        "group max-class json",
+    ),
+]
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lpres", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_nq = sub.add_parser("nq", help="nilpotent quotients class by class")
-    _add_source(p_nq)
-    p_nq.add_argument("--max-class", type=_positive_int, required=True, metavar="C")
-    p_nq.add_argument("--json", action="store_true", help="machine-readable output")
-    p_nq.add_argument("--timing", action="store_true", help="append per-class timings")
-    p_nq.set_defaults(func=_cmd_nq)
-
-    p_dw = sub.add_parser("dwyer", help="multiplier images along the tower")
-    _add_source(p_dw)
-    p_dw.add_argument("--max-class", type=_positive_int, required=True, metavar="C")
-    p_dw.add_argument("--json", action="store_true", help="machine-readable output")
-    p_dw.add_argument("--timing", action="store_true", help="append per-class timings")
-    p_dw.set_defaults(func=_cmd_dwyer)
-
-    p_adj = sub.add_parser("adjust", help="rewrite over a relator-lattice basis")
-    _add_source(p_adj)
-    p_adj.add_argument("--json", action="store_true", help="machine-readable output")
-    p_adj.set_defaults(func=_cmd_adjust)
-
-    p_cat = sub.add_parser("catalog", help="list the built-in groups")
-    p_cat.add_argument("--json", action="store_true", help="machine-readable output")
-    p_cat.set_defaults(func=_cmd_catalog)
-
-    p_chk = sub.add_parser(
-        "check-conjecture", help="computed multiplier images versus closed forms"
-    )
-    _add_source(p_chk, file_ok=False)
-    p_chk.add_argument("--max-class", type=_positive_int, required=True, metavar="C")
-    p_chk.add_argument("--json", action="store_true", help="machine-readable output")
-    p_chk.set_defaults(func=_cmd_check)
-
+    for name, help_text, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if "group" in options:
+            source = p.add_mutually_exclusive_group(required=True)
+        for option in options.split():
+            target = source if option in ("group", "file") else p
+            target.add_argument("--" + option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its help or usage message
+        code, lines = (exc.code if isinstance(exc.code, int) else 1), []
+    else:
+        try:
+            code, payload, lines = args.func(args)
+        except _InputError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
+        except (ValueError, ArithmeticError, AssertionError) as exc:
+            print("computation failed: %s" % exc, file=sys.stderr)
+            return 2
+        if args.json:
+            lines = [json.dumps(payload, indent=2)]
     try:
-        return args.func(args)
-    except _InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at the null device, so the interpreter's flush at
+        # exit has somewhere to put what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left wants no message
+            print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, AssertionError) as exc:
-        print("computation failed: %s" % exc, file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

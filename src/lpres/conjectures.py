@@ -75,41 +75,23 @@ def _basilica_torsion(c: int) -> list[int]:
     return parts
 
 
+def _bsv_windows(c: int, first: int, exponents: tuple[int, ...]):
+    """2^(4m + exponents[r]) for k = c // 2^(l-1) = first + 8m + r, at
+    each level l >= 1 with first * 2^(l-1) <= c."""
+    scale = 1
+    while first * scale <= c:
+        m, r = divmod(c // scale - first, 8)
+        yield 2 ** (4 * m + exponents[r])
+        scale *= 2
+
+
 def _bsv_torsion(c: int) -> list[int]:
     parts = []
     if c >= 4:
         m = (c - 4) // 2
         parts.append(2 ** (2 * m + 1))
-    level = 1
-    while 5 * 2 ** (level - 1) <= c:
-        scale = 2 ** (level - 1)
-        k = c // scale
-        if k >= 5:
-            m = (k - 5) // 8
-            r = k - (8 * m + 5)
-            if r == 0:
-                parts.append(2 ** (4 * m + 1))
-            elif r < 5:
-                parts.append(2 ** (4 * m + 2))
-            else:
-                parts.append(2 ** (4 * m + 4))
-        level += 1
-    level = 1
-    while 9 * 2 ** (level - 1) <= c:
-        scale = 2 ** (level - 1)
-        k = c // scale
-        if k >= 9:
-            m = (k - 9) // 8
-            r = k - (8 * m + 9)
-            if r < 3:
-                parts.append(2 ** (4 * m + 1))
-            elif r < 5:
-                parts.append(2 ** (4 * m + 2))
-            elif r < 7:
-                parts.append(2 ** (4 * m + 3))
-            else:
-                parts.append(2 ** (4 * m + 4))
-        level += 1
+    parts.extend(_bsv_windows(c, 5, (1, 2, 2, 2, 2, 4, 4, 4)))
+    parts.extend(_bsv_windows(c, 9, (1, 1, 1, 2, 2, 3, 3, 4)))
     return parts
 
 

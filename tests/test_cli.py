@@ -14,6 +14,9 @@ from lpres.lattices import AbelianInvariants
 from lpres.presentations import MAX_NESTING, catalog_names, parse_one
 from lpres.quotients import abelian_quotient
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
 KLEIN = """
 group klein {
   generators: x, y;
@@ -482,7 +485,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     """Every run pays for what `import lpres.cli` loads: dataclasses,
     with inspect, ast and dis behind it, cost 15-20 ms of each start-up
     (2-core KVM guest, CPython 3.11)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys; before = set(sys.modules); import lpres.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -491,13 +493,71 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         check=True,
     )
     added = proc.stdout.split()
     assert "lpres.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+
+
+def run_cli(*argv, unbuffered=False, **kwargs):
+    """lpres in a subprocess, with stdout block-buffered unless asked."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "lpres.cli", *argv]
+    return subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_left_ends_the_run_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # gone before the command writes
+    try:
+        argv = ("dwyer", "--group", "grigorchuk", "--max-class", "8")
+        proc = run_cli(*argv, unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("catalog",), ("dwyer", "--group", "bsv", "--max-class", "3", "--json")]
+)
+def test_unwritable_output_is_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = run_cli(*argv, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_perfbench_tracer_finds_every_entry_point(tmp_path, capsys):
+    """perfbench/traced.py wraps lpres.cli.main and the layers' entry
+    points by name: one renamed would drop its metric without an error."""
+    out = tmp_path / "trace.json"
+    argv = ("dwyer", "--group", "basilica", "--max-class", "3", "--json")
+    cmd = [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "--", *argv]
+    subprocess.run(cmd, check=True, capture_output=True)
+    trace = json.loads(out.read_text())
+    assert (trace["exit"], trace["missing"]) == (0, [])
+
+    def without_timings(blob):
+        payload = json.loads(blob)
+        payload["results"] = [
+            {key: value for key, value in row.items() if not key.startswith("t_")}
+            for row in payload["results"]
+        ]
+        return payload
+
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert without_timings(trace["stdout"]) == without_timings(plain)
 
 
 def test_console_script_runs():
