@@ -256,9 +256,7 @@ def build_cover(system: QuotientSystem) -> Cover:
     cs = pc.ngens
     cover_class = pc.nclass + 1
 
-    defined_pow = {d[1] for d in pc.definitions if d[0] == "pow"}
-    defined_conj = {(d[1], d[2]) for d in pc.definitions if d[0] == "conj"}
-    defined_free = {d[1] for d in pc.definitions if d[0] == "freetail"}
+    defined = set(pc.definitions)
 
     def fresh(definition: tuple, lhs_ab: list[int], tail: dict[int, int]) -> dict[int, int]:
         """Add a central generator g for a relation lhs = tail, with the
@@ -272,20 +270,20 @@ def build_cover(system: QuotientSystem) -> Cover:
     # generator per non-defining power relation,
     for i in range(cs):
         o = pc.orders[i]
-        if o is not None and i not in defined_pow:
+        if o is not None and ("pow", i) not in defined:
             ab = [o * x for x in pc.abelian_image[i]]
             pc.set_power_tail(i, fresh(("pow", i), ab, pc.power_tails.get(i, {})))
 
     # ... per non-defining conjugation relation within the class bound,
     for i in range(cs):
         for j in range(i + 1, cs):
-            if (i, j) not in defined_conj and pc.weights[i] + pc.weights[j] <= cover_class:
+            if ("conj", i, j) not in defined and pc.weights[i] + pc.weights[j] <= cover_class:
                 ab = [0] * pc.nfree
                 pc.set_conj_tail(i, j, fresh(("conj", i, j), ab, pc.conj.get((i, j), {})))
 
     # ... and per free generator that defines no quotient generator.
     for s in range(pc.nfree):
-        if s not in defined_free:
+        if ("freetail", s) not in defined:
             ab = [int(t == s) for t in range(pc.nfree)]
             images[s] = fresh(("freetail", s), ab, images[s])
 

@@ -15,10 +15,13 @@ kernel.
 
 Sparse rows enter an echelon in one place, `echelon`, which inserts them
 by decreasing leading column; `echelon(rows, ncols).canonical(ncols)` is
-their HNF.  An insert copies its row once, reduces it once, and tells
-whether the lattice grew, so spin_closure spins exactly the images that
-enlarge it.  Storing a new pivot reduces its column in every row with a
-smaller pivot; fed right to left, a stored row finds few such rows, so
+their HNF.  An insert tells whether the lattice grew, so spin_closure
+spins exactly the images that enlarge it.  A row whose leading entry is
+not a multiple of the pivot d there takes the pivot's place and the
+displaced row is inserted next: Euclid's algorithm on the two leading
+entries, so by Lame's theorem at most log_phi(d) < 1.45 * log2(d) stores
+at that column.  Storing a new pivot reduces its column in every row with
+a smaller pivot; fed right to left, a stored row finds few such rows, so
 the back-reduction that keeps the echelon canonical stays small.  The
 canonical HNF is unique, so the order changes no result.  Most pivots of
 a cover's consistency rows are 1, and a canonical row is zero at every
@@ -85,16 +88,6 @@ class HNFBasis(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _combine(a: dict[int, int], ca: int, b: dict[int, int], cb: int) -> dict[int, int]:
-    """The sparse row ca*a + cb*b."""
-    out = {}
-    for k in a.keys() | b.keys():
-        v = ca * a.get(k, 0) + cb * b.get(k, 0)
-        if v:
-            out[k] = v
-    return out
 
 
 class _SparseEchelon:
@@ -197,33 +190,22 @@ class _SparseEchelon:
 
     def insert(self, row: dict[int, int]) -> bool:
         """Add row to the lattice, keeping the rows in canonical HNF, and
-        return whether the lattice grew: whether row was not a member."""
-        rows = self.rows
-        pending = [{k: v for k, v in row.items() if v}]
-        grew = False
-        while pending:
-            r = pending.pop()
-            self._reduce(r, 0)
-            if not r:
-                continue
-            grew = True
+        return whether row was not a member.  Displacing a pivot d starts
+        Euclid's algorithm: at most log_phi(d) < 1.45 * log2(d) stores there."""
+        r = self.reduce(row)
+        grew = bool(r)
+        while r:
             lead = min(r)
-            cur = rows.get(lead)
-            if cur is None:
-                if r[lead] < 0:
-                    # a remainder is zero at every unit pivot column
-                    r = {k: -v for k, v in r.items()}
-                    self._reduce(r, 0)
-                self._store(lead, r)
-                continue
-            # r[lead] lies in (0, pivot): replace the pivot by their gcd
-            d, a = cur[lead], r[lead]
-            g, x, y = xgcd(d, a)
-            new = _combine(cur, x, r, y)
-            pending.append(_combine(cur, 1, new, -(d // g)))
-            pending.append(_combine(r, 1, new, -(a // g)))
-            self._reduce(new, lead + 1)
-            self._store(lead, new)
+            if r[lead] < 0:
+                # no pivot at lead, and a remainder is zero at every unit pivot column
+                r = {k: -v for k, v in r.items()}
+                self._reduce(r, 0)
+            displaced = self.rows.get(lead)
+            self._store(lead, r)
+            if displaced is None:
+                break
+            self._reduce(displaced, 0)
+            r = displaced
         return grew
 
     def canonical(self, ncols: int) -> HNFBasis:

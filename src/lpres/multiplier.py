@@ -27,8 +27,10 @@ class DwyerStep(NamedTuple):
     invariants is the image of the full multiplier in M(H_c);
     multiplier is M(H_c) itself; next_layer is the weight-(c+1) section
     of the lower central series, trivial once the tower has stabilized.
-    The two timings split the work into extending the tower (cover plus
-    imposition) and the multiplier computation proper.
+    quotient_seconds times the tower steps that build the cover of H_c: two
+    for class 1, the covers of the trivial and the class-1 quotient, one for
+    every later class.  dwyer_seconds times reading invariants and
+    multiplier off that cover.  next_layer is timed in neither.
     """
 
     nclass: int

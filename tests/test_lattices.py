@@ -178,7 +178,7 @@ def test_echelon_is_canonical_after_every_insert():
     rng = random.Random(2012)
     for _ in range(300):
         n = rng.randint(1, 12)
-        # small entries make many unit pivots; large ones the gcd branch
+        # small entries make many unit pivots; large ones pivot swaps
         bound = rng.choice([1, 2, 6, 10**9])
         density = rng.choice([1.0, 0.4, 0.15])
         rows = random_rows(rng, rng.randint(1, 14), n, bound, density)
@@ -211,6 +211,34 @@ def test_echelon_records_its_non_unit_pivots_through_gcd_steps():
         assert_canonical_echelon(lattice)
         assert lattice.canonical(4).rows == reference_hnf(inserted, 4)
     assert not lattice.insert({1: 6, 3: 0})
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_echelon_runs_euclid_by_pivot_swaps(sign):
+    """Consecutive Fibonacci leads are Euclid's worst case: each insert of
+    a remainder displaces the pivot, the displaced row is reduced by it
+    and inserted next, and the chain ends after about n stores."""
+    n = 73
+    assert 10**14 < fibonacci(n) < 10**15 < fibonacci(n + 1)
+    lattice = _SparseEchelon()
+    stores = []
+    store = lattice._store
+    lattice._store = lambda lead, r: (stores.append(lead), store(lead, r))
+    inserted = []
+    for row in ({0: sign * fibonacci(n + 1)}, {0: sign * fibonacci(n), 1: 1}):
+        assert lattice.insert(row)
+        inserted.append([row.get(j, 0) for j in range(2)])
+        assert_canonical_echelon(lattice)
+        assert lattice.canonical(2).rows == reference_hnf(inserted, 2)
+        assert len(stores) <= n + 2
+    assert len(stores) >= n  # one store per Euclid step
 
 
 def test_hnf_empty_and_zero():

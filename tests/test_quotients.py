@@ -191,6 +191,25 @@ def test_induced_endomorphism_rejects_non_invariant():
         nilpotent_quotient(pres, 2)
 
 
+@pytest.mark.parametrize(
+    "relations, images",
+    [
+        # breaks the stored conjugation relation (0, 1)
+        ("fixed: b*a^-1*c", "a -> a*c, b -> b, c -> c*c"),
+        # breaks the commuting pair (0, 2), which stores no relation
+        ("fixed: [a, c]", "a -> b*a, b -> b*b, c -> b"),
+    ],
+)
+def test_induced_endomorphism_rejects_broken_conjugation_relations(relations, images):
+    pres = parse_one(
+        "group t { generators: a, b, c; invariant: true; %s; endomorphism s: %s; }"
+        % (relations, images)
+    )
+    system = nilpotent_quotient(pres, 2)
+    with pytest.raises(ValueError, match="ill-defined image"):
+        induce_endomorphism(system, dict(pres.endomorphisms)["s"])
+
+
 def test_nilpotent_quotient_rejects_negative_class():
     pres = load_catalog("basilica")
     with pytest.raises(ValueError):
