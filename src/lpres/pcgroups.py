@@ -27,14 +27,17 @@ Conjugation is only ever by g^(+-2^k), from the cached images of the
 generators under it: a syllable g^e with any other exponent is split
 into g^(+-2^k) for the lowest set bit of |e| and the rest, so it takes
 one pass per set bit, not |e| (Vaughan-Lee, "Collection from the
-left", J. Symbolic Comput. 9, 1990).  The blocks of syllables that
-collection pushes again and again are collected once per presentation
-state: the power tail of g to the power of a carry, and the image of
-g_j under g^(+-2^k) to the power of its exponent, are kept as syllable
-lists beside the cached images, so a carry or a conjugated syllable
-costs one lookup, a miss on either is filled in one place, and all of
-them are dropped whenever the presentation changes (add_generator,
-set_power_tail, set_conj_tail, clear_caches).
+left", J. Symbolic Comput. 9, 1990).  The top weight is central, so a
+power of g^a * z, z of the top weight, is g^(a*k) * z^k, collected
+once from the syllables with their exponents times k, not squared.
+The blocks of syllables that collection pushes again and again are
+collected once per presentation state: the power tail of g to the
+power of a carry, and the image of g_j under g^(+-2^k) to the power of
+its exponent, are kept as syllable lists beside the cached images, so
+a carry or a conjugated syllable costs one lookup, a miss on either is
+filled in one place, and all of them are dropped whenever the
+presentation changes (add_generator, set_power_tail, set_conj_tail,
+clear_caches).
 
 Conjugates and commutators never invert the conjugating element.  For
 u^v, each syllable g^e of v below the lowest generator of u conjugates
@@ -45,8 +48,8 @@ multiplied onto u and divided off on the left again.  The commutator
 the x with u * x = w one syllable at a time, from the lowest generator
 on.  A relator is evaluated by the shape of its word: a commutator of
 two words through the commutator of their values, a conjugate through
-the conjugate of their values, a power of a word through binary
-powering of its value, and any other word syllable by syllable.
+the conjugate of their values, a power of a word through the power
+of its value, and any other word syllable by syllable.
 
 Consistency is checked on overlaps: triples a, b, c of one-syllable
 normal forms, each collected as (a*b)*c and as a*(b*c).  They are
@@ -299,8 +302,20 @@ class PcPresentation:
         return self._collect({}, [(g, -u[g]) for g in sorted(u)])
 
     def pow_nf(self, u: dict[int, int], k: int) -> dict[int, int]:
+        """Normal form of u^k for any integer k.
+
+        The generators of the top weight are central, so when u has at
+        most one syllable g^a below the top weight, u = g^a * z with z
+        central and u^k = g^(a*k) * z^k: one collection of u's
+        syllables, each exponent multiplied by k, which takes the
+        carries and the power tails.  Any other u is powered by
+        squaring, inverted first when k < 0.
+        """
         if k == 0 or not u:
             return {}
+        syllables = sorted(u.items(), reverse=True)
+        if len(syllables) < 2 or syllables[-2][0] >= bisect_left(self.weights, self.nclass):
+            return self._collect({}, [(g, e * k) for g, e in syllables])
         if k < 0:
             u = self.inv(u)
             k = -k

@@ -392,13 +392,15 @@ def test_long_product_parses_in_one_pass():
     assert pres.fixed[0].syllables == ((0, 3), (1, 3)) * 5_000
 
 
-def test_million_exponent_reaches_class_four(tmp_path, capsys):
+# 999999999999989 is the largest prime under the parser's exponent bound
+@pytest.mark.parametrize("e", [1000000, 999999999999989])
+def test_million_exponent_reaches_class_four(tmp_path, capsys, e):
     # collection conjugates by a^e in about log2(e) passes, not e of them
     path = tmp_path / "million.lp"
-    path.write_text("group g {\n  generators: a, b;\n  invariant: true;\n  fixed: (b^a)^1000000;\n}\n")
+    path.write_text("group g {\n  generators: a, b;\n  invariant: true;\n  fixed: (b^a)^%d;\n}\n" % e)
     code, out, err = run(capsys, "nq", "--file", str(path), "--max-class", "4")
     assert code == 0
-    assert out.splitlines()[3] == "c=4: layer (Z_1000000)^3, order infinite"
+    assert out.splitlines()[3] == "c=4: layer (Z_%d)^3, order infinite" % e
     assert "Traceback" not in err
 
 

@@ -12,6 +12,7 @@ inside the central block.
 
 import functools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -21,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpres.covers import _apply_central_rows, build_cover
+from lpres.pcgroups import PcPresentation
 from lpres.presentations import load_catalog, parse_one
 from lpres.quotients import nilpotent_quotient
 
@@ -128,6 +130,69 @@ def test_powered_conjugation_equals_repeated_conjugation(case):
                 step = pc._conj_nf(step, g, 1 if e > 0 else -1)
             # nf * g^e = g^e * nf^(g^e), with g^e split into +-2^k syllables
             assert pc._collect(dict(nf), [(g, e)]) == pc.mul(pc.pow_nf({g: 1}, e), step), (g, e)
+
+
+# reduced covers whose top-weight generators have relative orders and
+# power tails, so that a power carries inside the central layer
+TAILED_TOP = [("basilica", 6, True), ("bsv", 6, True)]
+
+POWERS = (-(10**15), -(2**40 + 3), -1, 2, 2**40 + 3, 10**15)
+
+
+def squared_power(pc, u, k):
+    """u^k by binary powering through pc.mul."""
+    if k < 0:
+        u, k = pc.inv(u), -k
+    result = {}
+    while k:
+        if k & 1:
+            result = pc.mul(result, u)
+        u = pc.mul(u, u)
+        k >>= 1
+    return result
+
+
+@pytest.mark.parametrize("case", CASES + TAILED_TOP, ids=case_id)
+def test_one_syllable_times_a_central_element_is_powered_in_one_collection(case, monkeypatch):
+    # the top weight is central, so u = g^a * z with z of the top weight
+    # has u^k = g^(a*k) * z^k: it must equal binary powering, and the
+    # reference for small k, and once warm it must multiply nothing
+    pc, ref = collectors(case)
+    top = bisect_left(pc.weights, pc.nclass)
+    tailed = [t for t in range(top, pc.ngens) if t in pc.power_tails]
+    if case in TAILED_TOP:
+        assert tailed, "no top-weight generator with a power tail"
+    rng = random.Random(case_id(case))
+
+    def exponent(g):
+        if pc.orders[g] is None:
+            return rng.choice([-1, 1]) * rng.randint(1, SMALL)
+        return rng.randrange(1, pc.orders[g])
+
+    calls = []
+    mul = PcPresentation.mul
+
+    def counted_mul(self, u, v):
+        calls.append((u, v))
+        return mul(self, u, v)
+
+    monkeypatch.setattr(PcPresentation, "mul", counted_mul)
+    for g in [None] + list(range(top)):
+        central = rng.sample(range(top, pc.ngens), min(3, pc.ngens - top)) + tailed[:1]
+        u = {t: exponent(t) for t in central}
+        powers = list(POWERS)
+        if g is not None:
+            u[g] = exponent(g)
+            if pc.orders[g] is not None:
+                powers.append(pc.orders[g] - 1)
+        for k in powers:
+            expected = squared_power(pc, u, k)
+            assert pc.pow_nf(u, k) == expected, (u, k)
+            if abs(k) <= BIG:
+                assert ref.pow_nf(u, k) == expected, (u, k)
+            calls.clear()
+            pc.pow_nf(u, k)
+            assert not calls, (u, k)
 
 
 def test_cold_high_level_conjugation_needs_no_deep_stack():
